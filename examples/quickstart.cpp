@@ -23,8 +23,10 @@ int main(int argc, char** argv) {
   constexpr oftm::core::Value kInitial = 1000;
   constexpr int kTransfersPerThread = 20000;
 
-  // 1. Create a TM instance with a fixed t-variable space.
-  auto tm = oftm::workload::make_tm(backend, kAccounts);
+  // 1. Create a TM instance with a fixed t-variable space. An unknown
+  //    recipe prints the recipe list; exit 2 like every example.
+  auto tm = oftm::workload::make_tm_cli(backend, kAccounts);
+  if (!tm) return 2;
 
   // 2. Seed the accounts in one transaction.
   oftm::core::atomically(*tm, [&](oftm::core::TxView& tx) {

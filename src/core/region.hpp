@@ -21,6 +21,11 @@
 //                   by a committed transaction is never recycled while a
 //                   concurrent (doomed) reader may still dereference it.
 //
+// The metadata side (stripe-table lock words, and the private blocks,
+// deferred frees and epoch pin a region transaction holds) is
+// lock::RegionLayout in src/lock/layout.hpp, the layout TL2 and NOrec run
+// over on this tier.
+//
 // Reclamation safety argument, in one place because every region backend
 // leans on it: a region transaction holds an epoch Guard for its whole
 // active lifetime (prepare -> commit/abort). A pointer to a block can only
@@ -44,13 +49,12 @@
 #include "runtime/cacheline.hpp"
 #include "runtime/epoch.hpp"
 #include "runtime/spin_lock.hpp"
-#include "runtime/xorshift.hpp"
 
 namespace oftm::core {
 
 struct RegionOptions {
-  // Arena size. 0 = derived by the consumer (RegionWordTm sizes it from
-  // num_tvars; direct users should set it).
+  // Arena size. 0 = derived by the consumer (lock::RegionLayout sizes it
+  // from num_tvars; direct users should set it).
   std::size_t capacity_bytes = 0;
 
   // log2 of the number of lock stripes in the global versioned-lock table.
@@ -173,88 +177,6 @@ class RegionHeap {
   // Declared last: destroyed first, draining pending retirements back into
   // the free lists above while they still exist.
   runtime::EpochManager epochs_;
-};
-
-// Open-addressed redo log for region transactions: word address -> value,
-// linear probing, power-of-two capacity, grown geometrically and *kept*
-// across transactions of a pooled descriptor — the same shape (and the
-// same reason) as NOrec's TVarId-keyed WriteSet.
-class RegionWriteSet {
- public:
-  RegionWriteSet() : table_(kInitialCapacity) {}
-
-  bool empty() const noexcept { return size_ == 0; }
-  std::size_t size() const noexcept { return size_; }
-
-  void clear() noexcept {
-    if (size_ == 0) return;
-    for (Entry& e : table_) e = Entry{};
-    size_ = 0;
-  }
-
-  const Value* find(const Value* addr) const noexcept {
-    const std::size_t mask = table_.size() - 1;
-    for (std::size_t i = slot_of(addr, mask);; i = (i + 1) & mask) {
-      const Entry& e = table_[i];
-      if (e.addr == addr) return &e.value;
-      if (e.addr == nullptr) return nullptr;
-    }
-  }
-
-  void put(Value* addr, Value v) {
-    if (size_ * 2 >= table_.size()) grow();
-    const std::size_t mask = table_.size() - 1;
-    for (std::size_t i = slot_of(addr, mask);; i = (i + 1) & mask) {
-      Entry& e = table_[i];
-      if (e.addr == addr) {
-        e.value = v;
-        return;
-      }
-      if (e.addr == nullptr) {
-        e = Entry{addr, v};
-        ++size_;
-        return;
-      }
-    }
-  }
-
-  template <typename F>
-  void for_each(F&& f) const {
-    for (const Entry& e : table_) {
-      if (e.addr != nullptr) f(e.addr, e.value);
-    }
-  }
-
- private:
-  struct Entry {
-    Value* addr = nullptr;
-    Value value = 0;
-  };
-  static constexpr std::size_t kInitialCapacity = 16;
-
-  static std::size_t slot_of(const Value* addr, std::size_t mask) noexcept {
-    return static_cast<std::size_t>(runtime::mix64(
-               reinterpret_cast<std::uintptr_t>(addr) >> 3)) &
-           mask;
-  }
-
-  void grow() {
-    std::vector<Entry> old = std::move(table_);
-    table_.assign(old.size() * 2, Entry{});
-    const std::size_t mask = table_.size() - 1;
-    for (const Entry& e : old) {
-      if (e.addr == nullptr) continue;
-      for (std::size_t i = slot_of(e.addr, mask);; i = (i + 1) & mask) {
-        if (table_[i].addr == nullptr) {
-          table_[i] = e;
-          break;
-        }
-      }
-    }
-  }
-
-  std::vector<Entry> table_;
-  std::size_t size_ = 0;
 };
 
 }  // namespace oftm::core

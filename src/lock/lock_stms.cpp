@@ -7,8 +7,9 @@ namespace oftm::lock {
 
 template class Tl<core::HwPlatform>;
 template class Tl<sim::SimPlatform>;
-template class Tl2<core::HwPlatform>;
-template class Tl2<sim::SimPlatform>;
+template class LayoutTm<Tl2Protocol<BoxedLayout<core::HwPlatform>>>;
+template class LayoutTm<Tl2Protocol<BoxedLayout<sim::SimPlatform>>>;
+template class LayoutTm<Tl2Protocol<RegionLayout>>;
 template class Coarse<core::HwPlatform>;
 template class Coarse<sim::SimPlatform>;
 

@@ -18,7 +18,8 @@
 // Deliberately dense — no per-stripe cache-line padding. At 2^20+ stripes
 // padding would 8x the table, and the sharing of neighbouring stripe words
 // is exactly the behaviour production TL2 tables exhibit and the region
-// benches measure.
+// benches measure. count_log2 = 0 is a single stripe, for protocols that
+// keep no per-location versions (NOrec).
 #pragma once
 
 #include <atomic>
@@ -38,8 +39,7 @@ class StripeTable {
         stripes_(new std::atomic<std::uint64_t>[std::size_t{1} << count_log2]) {
     OFTM_ASSERT_MSG(granularity_log2 >= 3,
                     "stripe granularity below one 64-bit word");
-    OFTM_ASSERT_MSG(count_log2 >= 1 && count_log2 <= 28,
-                    "unreasonable stripe count");
+    OFTM_ASSERT_MSG(count_log2 <= 28, "unreasonable stripe count");
     for (std::size_t i = 0; i <= mask_; ++i) {
       stripes_[i].store(LockWord::pack(0, false), std::memory_order_relaxed);
     }

@@ -9,18 +9,26 @@
 // transactions), but for the benign reason of a read-mostly-shared counter
 // rather than DSTM's read-write descriptor hot spots. The DAP experiments
 // report TL2's clock conflicts separately to make that distinction visible.
+//
+// One protocol over either metadata layout (lock/layout.hpp): Tl2<P> runs
+// over boxed t-variables, each with its own lock word; Tl2Region runs over
+// the words of a RegionHeap with lock words in a stripe table — the shape
+// the original TL2 paper ships (its "PS" mode). There the conflict unit is
+// the stripe: aliasing neighbours or colliding granules can only add
+// conflicts, never hide one.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/platform.hpp"
 #include "core/tm.hpp"
+#include "lock/layout.hpp"
+#include "lock/layout_tm.hpp"
 #include "lock/versioned_lock.hpp"
-#include "runtime/assert.hpp"
 #include "runtime/cacheline.hpp"
 
 namespace oftm::lock {
@@ -35,157 +43,139 @@ struct Tl2Options {
   bool rv_extension = false;
 };
 
-template <typename P>
-class Tl2 final : public core::TransactionalMemory,
-                  private core::TmStatsMixin {
-  template <typename T>
-  using Atomic = typename P::template Atomic<T>;
+template <typename Layout>
+class Tl2Protocol : public LayoutProtocol<Layout> {
+  using Base = LayoutProtocol<Layout>;
+  using Loc = typename Layout::Loc;
+  using Platform = typename Layout::Platform;
 
  public:
-  class Txn final : public core::Transaction {
-   public:
-    Txn() = default;
-    ~Txn() override = default;
-    core::TxStatus status() const override { return status_; }
-    core::TxId id() const override { return id_; }
+  using Options = Tl2Options;
 
-   private:
-    friend class Tl2;
+  class Txn final : public Base::TxnBase {
+    friend class Tl2Protocol;
     struct ReadEntry {
-      core::TVarId x;
+      std::uint32_t lock;     // lock index of the location read
       std::uint64_t version;  // lock-word version observed at read time
     };
-    struct WriteEntry {
-      core::TVarId x;
+    struct CommitEntry {
       core::Value value;
+      Loc loc;
+      std::uint32_t lock;
     };
-    core::TxId id_ = 0;
     std::uint64_t rv_ = 0;  // read version (global clock at begin)
-    // A pooled descriptor is born finished; prepare() arms it.
-    core::TxStatus status_ = core::TxStatus::kAborted;
     std::vector<ReadEntry> reads_;
-    std::vector<WriteEntry> writes_;
-    // Commit-path scratch (pre-lock versions of the write set): lives in
-    // the descriptor so acquiring the write locks allocates nothing after
-    // warm-up.
+    // Commit-path scratch, kept across transactions so the commit protocol
+    // allocates nothing after warm-up.
+    std::vector<CommitEntry> commit_set_;
+    std::vector<std::uint32_t> locked_;
     std::vector<std::uint64_t> lock_versions_;
   };
 
-  using Session = core::PooledTmSession<Txn>;
+  Tl2Protocol(std::size_t num_tvars, const core::RegionOptions& region,
+              Tl2Options options)
+      : Base(num_tvars, region, /*versioned=*/true), options_(options) {}
 
-  explicit Tl2(std::size_t num_tvars, Tl2Options options = {})
-      : options_(options), num_tvars_(num_tvars) {
-    slots_ = std::make_unique<Slot[]>(num_tvars);
+  void prepare(Txn& tx) {
+    this->arm(tx);
+    // The shared-clock read that makes TL2 non-strictly-DAP.
+    tx.rv_ = clock_.value.load(std::memory_order_acquire);
+    tx.reads_.clear();
   }
 
-  core::TmSession& this_thread_session() override {
-    return session(P::thread_id());
-  }
-
-  core::Transaction& begin(core::TmSession& session) override {
-    Txn& tx = static_cast<Session&>(session).hot();
-    prepare(tx);
-    return tx;
-  }
-
-  core::TxnPtr begin() override {
-    Txn& tx = static_cast<Session&>(session(P::thread_id())).checkout();
-    prepare(tx);
-    return core::TxnPtr(&tx);
-  }
-
-  std::optional<core::Value> read(core::Transaction& t,
-                                  core::TVarId x) override {
-    auto& tx = txn_cast(t);
-    reads_.add();
-    OFTM_ASSERT(x < num_tvars_);
+  std::optional<core::Value> read(Txn& tx, Loc loc) {
+    Layout& layout = this->layout_;
+    this->reads_.add();
     if (tx.status_ != core::TxStatus::kActive) return std::nullopt;
 
     {
-      OFTM_OBS_PHASE(obs_, obs::Phase::kReadLookup);
-      for (const auto& w : tx.writes_) {
-        if (w.x == x) return w.value;
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kReadLookup);
+      if (const core::Value* w = tx.writes_.find(loc)) return *w;
+      // A private region block: nobody else can touch it, and its stripes
+      // carry whatever versions the address range's previous life left
+      // behind — bypass validation entirely.
+      if (layout.owns(tx.res_, loc)) {
+        return layout.load(loc, std::memory_order_relaxed);
       }
     }
 
-    Slot& s = slots_[x];
+    const std::size_t li = layout.lock_index(loc);
+    auto& lock = layout.lock(li);
     for (int pass = 0; pass < 2; ++pass) {
-      const std::uint64_t w1 = s.lock.load(std::memory_order_acquire);
-      const core::Value v = s.value.load(std::memory_order_relaxed);
-      const std::uint64_t w2 = s.lock.load(std::memory_order_acquire);
+      const std::uint64_t w1 = lock.load(std::memory_order_acquire);
+      const core::Value v = layout.load(loc, std::memory_order_relaxed);
+      const std::uint64_t w2 = lock.load(std::memory_order_acquire);
       // Valid iff stable, unlocked, and not newer than our read version.
       if (w1 == w2 && !LockWord::locked(w1) &&
           LockWord::version(w1) <= tx.rv_) {
-        tx.reads_.push_back({x, LockWord::version(w1)});
+        tx.reads_.push_back(
+            {static_cast<std::uint32_t>(li), LockWord::version(w1)});
         return v;
       }
       // Stale or unstable: try extending rv once, then give up.
       if (pass == 0 && options_.rv_extension && try_extend(tx)) continue;
       break;
     }
-    abort_forced(tx, obs::AbortReason::kReadValidation, x);
+    this->abort_forced(tx, obs::AbortReason::kReadValidation, li);
     return std::nullopt;
   }
 
-  bool write(core::Transaction& t, core::TVarId x, core::Value v) override {
-    auto& tx = txn_cast(t);
-    writes_.add();
-    OFTM_ASSERT(x < num_tvars_);
-    if (tx.status_ != core::TxStatus::kActive) return false;
-    for (auto& w : tx.writes_) {
-      if (w.x == x) {
-        w.value = v;
-        return true;
-      }
-    }
-    tx.writes_.push_back({x, v});
-    return true;
-  }
-
-  bool try_commit(core::Transaction& t) override {
-    auto& tx = txn_cast(t);
+  bool try_commit(Txn& tx) {
+    Layout& layout = this->layout_;
     if (tx.status_ != core::TxStatus::kActive) return false;
 
     // Read-only fast path: every read was validated against rv at read
-    // time; nothing to lock.
+    // time; nothing to lock. Region private-block writes and alloc/free
+    // logs still settle.
     if (tx.writes_.empty()) {
-      tx.status_ = core::TxStatus::kCommitted;
-      commits_.add();
+      this->settle_commit(tx);
       return true;
     }
 
-    // Lock the write set in canonical order (deadlock avoidance), bounded
-    // spins (liveness: self-abort, as in the original).
-    std::sort(tx.writes_.begin(), tx.writes_.end(),
-              [](const auto& a, const auto& b) { return a.x < b.x; });
+    // Gather the redo log into commit scratch sorted by (lock, location),
+    // and take each distinct lock word once, in ascending order (deadlock
+    // avoidance across committers), with bounded spins (self-abort
+    // liveness, as in the original).
+    auto& cs = tx.commit_set_;
+    cs.clear();
+    tx.writes_.for_each([&](Loc loc, core::Value v) {
+      cs.push_back(
+          {v, loc, static_cast<std::uint32_t>(layout.lock_index(loc))});
+    });
+    std::sort(cs.begin(), cs.end(), [](const auto& a, const auto& b) {
+      return a.lock != b.lock ? a.lock < b.lock : a.loc < b.loc;
+    });
+
+    std::vector<std::uint32_t>& locked = tx.locked_;
     std::vector<std::uint64_t>& base = tx.lock_versions_;
+    locked.clear();
     base.clear();
-    base.reserve(tx.writes_.size());
-    typename P::Backoff backoff;
+    typename Platform::Backoff backoff;
     {
-      OFTM_OBS_PHASE(obs_, obs::Phase::kCommitLock);
-      for (std::size_t i = 0; i < tx.writes_.size(); ++i) {
-        Slot& s = slots_[tx.writes_[i].x];
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kCommitLock);
+      for (const auto& e : cs) {
+        if (!locked.empty() && locked.back() == e.lock) continue;  // shared
+        auto& lock = layout.lock(e.lock);
         int spin = 0;
         for (;;) {
-          std::uint64_t w = s.lock.load(std::memory_order_acquire);
+          std::uint64_t w = lock.load(std::memory_order_acquire);
           if (!LockWord::locked(w)) {
-            const std::uint64_t locked =
+            const std::uint64_t held =
                 LockWord::pack(LockWord::version(w), true);
-            if (s.lock.compare_exchange_strong(w, locked,
-                                               std::memory_order_acq_rel)) {
+            if (lock.compare_exchange_strong(w, held,
+                                             std::memory_order_acq_rel)) {
+              locked.push_back(e.lock);
               base.push_back(LockWord::version(w));
               break;
             }
           }
           if (++spin > options_.lock_patience) {
-            unlock_prefix(tx, base, i);
-            abort_forced(tx, obs::AbortReason::kLockTimeout,
-                         tx.writes_[i].x);
+            unlock(tx);
+            this->abort_forced(tx, obs::AbortReason::kLockTimeout, e.lock);
             return false;
           }
-          cm_backoffs_.add();
-          OFTM_OBS_PHASE(obs_, obs::Phase::kBackoff);
+          this->cm_backoffs_.add();
+          OFTM_OBS_PHASE(this->obs_, obs::Phase::kBackoff);
           backoff.pause();
         }
       }
@@ -196,98 +186,53 @@ class Tl2 final : public core::TransactionalMemory,
         clock_.value.fetch_add(1, std::memory_order_acq_rel) + 1;
 
     // Validate the read set unless nobody could have committed in between.
+    // A lock this transaction holds may appear locked.
     if (tx.rv_ + 1 != wv) {
-      OFTM_OBS_PHASE(obs_, obs::Phase::kValidation);
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kValidation);
       for (const auto& r : tx.reads_) {
-        bool own = false;
-        for (const auto& w : tx.writes_) {
-          if (w.x == r.x) {
-            own = true;
-            break;
-          }
-        }
+        const bool own =
+            std::binary_search(locked.begin(), locked.end(), r.lock);
         const std::uint64_t w =
-            slots_[r.x].lock.load(std::memory_order_acquire);
+            layout.lock(r.lock).load(std::memory_order_acquire);
         if ((LockWord::locked(w) && !own) || LockWord::version(w) > tx.rv_) {
-          unlock_prefix(tx, base, tx.writes_.size());
-          abort_forced(tx, obs::AbortReason::kReadValidation, r.x);
+          unlock(tx);
+          this->abort_forced(tx, obs::AbortReason::kReadValidation, r.lock);
           return false;
         }
       }
     }
 
-    // Write back and release with the commit version.
+    // Write back, then release every lock with the commit version.
     {
-      OFTM_OBS_PHASE(obs_, obs::Phase::kWriteBack);
-      for (std::size_t i = 0; i < tx.writes_.size(); ++i) {
-        Slot& s = slots_[tx.writes_[i].x];
-        s.value.store(tx.writes_[i].value, std::memory_order_relaxed);
-        s.lock.store(LockWord::pack(wv, false), std::memory_order_release);
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kWriteBack);
+      for (const auto& e : cs) {
+        layout.store(e.loc, e.value, std::memory_order_relaxed);
+      }
+      for (std::uint32_t li : locked) {
+        layout.lock(li).store(LockWord::pack(wv, false),
+                              std::memory_order_release);
       }
     }
-    tx.status_ = core::TxStatus::kCommitted;
-    commits_.add();
+    this->settle_commit(tx);
     return true;
   }
 
-  void try_abort(core::Transaction& t) override {
-    auto& tx = txn_cast(t);
-    if (tx.status_ != core::TxStatus::kActive) return;
-    tx.status_ = core::TxStatus::kAborted;
-    count_requested_abort();
-  }
-
-  std::size_t num_tvars() const override { return num_tvars_; }
-  core::Value read_quiescent(core::TVarId x) const override {
-    return slots_[x].value.load(std::memory_order_acquire);
-  }
-  std::string name() const override {
-    return options_.rv_extension ? "tl2+ext" : "tl2";
-  }
-  runtime::TxStats stats() const override { return collect_stats(); }
-  void reset_stats() override { reset_collect_stats(); }
-
- protected:
-  std::unique_ptr<core::TmSession> make_session(
-      core::ThreadSlot slot) override {
-    return std::make_unique<Session>(slot);
+  std::string name() const {
+    return std::string(Layout::kRegion ? "tl2-region" : "tl2") +
+           (options_.rv_extension ? "+ext" : "");
   }
 
  private:
-  struct alignas(runtime::kCacheLineSize) Slot {
-    Atomic<std::uint64_t> lock{LockWord::pack(0, false)};
-    Atomic<core::Value> value{0};
-  };
-
-  static Txn& txn_cast(core::Transaction& t) { return static_cast<Txn&>(t); }
-
-  // Re-arm a pooled descriptor; set capacity survives. TL2 transactions
-  // hold no locks before try_commit (and try_commit always releases), so
-  // an abandoned predecessor needs no cleanup.
-  void prepare(Txn& tx) {
-    obs_tx_begin();
-    // The shared-clock read that makes TL2 non-strictly-DAP.
-    tx.rv_ = clock_.value.load(std::memory_order_acquire);
-    tx.id_ = next_tx_id();
-    tx.status_ = core::TxStatus::kActive;
-    tx.reads_.clear();
-    tx.writes_.clear();
-  }
-
-  static core::TxId next_tx_id() {
-    thread_local std::uint64_t counter = 0;
-    return core::make_tx_id(P::thread_id(), ++counter);
-  }
-
   // rv extension: sound iff every recorded read is still current at the
   // *new* clock value — the snapshot simply turns out to be fresher than
   // first assumed.
   bool try_extend(Txn& tx) {
-    OFTM_OBS_PHASE(obs_, obs::Phase::kValidation);
+    OFTM_OBS_PHASE(this->obs_, obs::Phase::kValidation);
     const std::uint64_t new_rv = clock_.value.load(std::memory_order_acquire);
     if (new_rv <= tx.rv_) return false;
     for (const auto& r : tx.reads_) {
-      const std::uint64_t w = slots_[r.x].lock.load(std::memory_order_acquire);
+      const std::uint64_t w =
+          this->layout_.lock(r.lock).load(std::memory_order_acquire);
       if (LockWord::locked(w) || LockWord::version(w) != r.version) {
         return false;
       }
@@ -296,26 +241,29 @@ class Tl2 final : public core::TransactionalMemory,
     return true;
   }
 
-  void unlock_prefix(Txn& tx, const std::vector<std::uint64_t>& base,
-                     std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) {
-      slots_[tx.writes_[i].x].lock.store(LockWord::pack(base[i], false),
-                                         std::memory_order_release);
+  // Release the locks taken so far at their pre-lock versions.
+  void unlock(Txn& tx) {
+    for (std::size_t i = 0; i < tx.locked_.size(); ++i) {
+      this->layout_.lock(tx.locked_[i])
+          .store(LockWord::pack(tx.lock_versions_[i], false),
+                 std::memory_order_release);
     }
   }
 
-  void abort_forced(Txn& tx, obs::AbortReason reason,
-                    std::uint64_t key = obs::kNoKey) {
-    tx.status_ = core::TxStatus::kAborted;
-    count_forced_abort(reason, key);
-  }
-
   const Tl2Options options_;
-  const std::size_t num_tvars_;
-  std::unique_ptr<Slot[]> slots_;
-  runtime::CacheAligned<Atomic<std::uint64_t>> clock_{0};
+  runtime::CacheAligned<typename Platform::template Atomic<std::uint64_t>>
+      clock_{0};
 };
 
+template <typename P>
+using Tl2 = LayoutTm<Tl2Protocol<BoxedLayout<P>>>;
 using HwTl2 = Tl2<core::HwPlatform>;
+
+// A named class rather than an alias, so the region backend keeps its own
+// name in diagnostics and in typed-test names.
+class Tl2Region final : public LayoutTm<Tl2Protocol<RegionLayout>> {
+ public:
+  using LayoutTm::LayoutTm;
+};
 
 }  // namespace oftm::lock

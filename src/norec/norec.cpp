@@ -2,9 +2,12 @@
 
 #include "sim/platform.hpp"
 
-namespace oftm::norec {
+namespace oftm {
 
-template class Norec<core::HwPlatform>;
-template class Norec<sim::SimPlatform>;
+template class lock::LayoutTm<
+    norec::NorecProtocol<lock::BoxedLayout<core::HwPlatform>>>;
+template class lock::LayoutTm<
+    norec::NorecProtocol<lock::BoxedLayout<sim::SimPlatform>>>;
+template class lock::LayoutTm<norec::NorecProtocol<lock::RegionLayout>>;
 
-}  // namespace oftm::norec
+}  // namespace oftm

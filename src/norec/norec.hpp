@@ -24,16 +24,27 @@
 // (write x:=b, then a later transaction restores x:=a) does NOT abort a
 // reader that saw a — the snapshot is still semantically consistent.
 // tests/norec_test.cpp pins this behaviour down against TL2.
+//
+// One protocol over either metadata layout (lock/layout.hpp): Norec<P>
+// runs over boxed t-variables, NorecRegion over the words of a RegionHeap.
+// NOrec reads no per-location metadata at all, which makes NorecRegion the
+// baseline the stripe sweep of Tl2Region is compared to. One region
+// consequence is worth naming: value-based revalidation may re-read words
+// of a block freed and retired after this transaction's snapshot. The
+// epoch pin guarantees the block has not been recycled, and retire() does
+// not write, so those loads are memory-safe and return the values the
+// snapshot saw — revalidation stays sound.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/platform.hpp"
 #include "core/tm.hpp"
-#include "runtime/assert.hpp"
+#include "lock/layout.hpp"
+#include "lock/layout_tm.hpp"
 #include "runtime/cacheline.hpp"
 #include "runtime/xorshift.hpp"
 
@@ -41,169 +52,82 @@ namespace oftm::norec {
 
 struct NorecOptions {
   // Gate the per-read write-set lookup behind a 64-bit Bloom filter (two
-  // hash bits per t-variable): a definite miss skips the probe entirely.
+  // hash bits per location): a definite miss skips the probe entirely.
   // The classic NOrec hot-path optimisation; off by default so plain
   // "norec" matches the published algorithm and benches isolate the
   // filter's effect.
   bool bloom_reads = false;
 };
 
-// Small open-addressed write set: TVarId -> Value, linear probing,
-// power-of-two capacity, grown geometrically. The per-read lookup here is
-// the price NOrec pays for lazy write-back; bench_throughput's read-mostly
-// mix measures it (and the Bloom ablation removes most of it).
-class WriteSet {
- public:
-  WriteSet() : table_(kInitialCapacity, Entry{core::kInvalidTVar, 0}) {}
-
-  bool empty() const noexcept { return size_ == 0; }
-  std::size_t size() const noexcept { return size_; }
-
-  // Drop every entry but keep the table's capacity: a pooled descriptor's
-  // write set warms up once and then never allocates again.
-  void clear() noexcept {
-    if (size_ == 0) return;
-    for (Entry& e : table_) e = Entry{core::kInvalidTVar, 0};
-    size_ = 0;
-  }
-
-  const core::Value* find(core::TVarId x) const noexcept {
-    const std::size_t mask = table_.size() - 1;
-    for (std::size_t i = slot_of(x, mask);; i = (i + 1) & mask) {
-      const Entry& e = table_[i];
-      if (e.key == x) return &e.value;
-      if (e.key == core::kInvalidTVar) return nullptr;
-    }
-  }
-
-  void put(core::TVarId x, core::Value v) {
-    if (size_ * 2 >= table_.size()) grow();
-    const std::size_t mask = table_.size() - 1;
-    for (std::size_t i = slot_of(x, mask);; i = (i + 1) & mask) {
-      Entry& e = table_[i];
-      if (e.key == x) {
-        e.value = v;
-        return;
-      }
-      if (e.key == core::kInvalidTVar) {
-        e = Entry{x, v};
-        ++size_;
-        return;
-      }
-    }
-  }
-
-  template <typename F>
-  void for_each(F&& f) const {
-    for (const Entry& e : table_) {
-      if (e.key != core::kInvalidTVar) f(e.key, e.value);
-    }
-  }
-
- private:
-  struct Entry {
-    core::TVarId key;
-    core::Value value;
-  };
-  static constexpr std::size_t kInitialCapacity = 16;
-
-  static std::size_t slot_of(core::TVarId x, std::size_t mask) noexcept {
-    return static_cast<std::size_t>(runtime::mix64(x)) & mask;
-  }
-
-  void grow() {
-    std::vector<Entry> old = std::move(table_);
-    table_.assign(old.size() * 2, Entry{core::kInvalidTVar, 0});
-    const std::size_t mask = table_.size() - 1;
-    for (const Entry& e : old) {
-      if (e.key == core::kInvalidTVar) continue;
-      for (std::size_t i = slot_of(e.key, mask);; i = (i + 1) & mask) {
-        if (table_[i].key == core::kInvalidTVar) {
-          table_[i] = e;
-          break;
-        }
-      }
-    }
-  }
-
-  std::vector<Entry> table_;
-  std::size_t size_ = 0;
-};
-
-// Two bits in a 64-bit word per t-variable.
-inline constexpr std::uint64_t bloom_mask(core::TVarId x) noexcept {
-  const std::uint64_t h = runtime::mix64(static_cast<std::uint64_t>(x) + 1);
+// Two bits in a 64-bit word per location.
+template <typename Loc>
+std::uint64_t bloom_mask(Loc loc) noexcept {
+  const std::uint64_t h = runtime::mix64(lock::location_bits(loc) + 1);
   return (std::uint64_t{1} << (h & 63)) | (std::uint64_t{1} << ((h >> 6) & 63));
 }
 
-template <typename P>
-class Norec final : public core::TransactionalMemory,
-                    private core::TmStatsMixin {
-  template <typename T>
-  using Atomic = typename P::template Atomic<T>;
+template <typename Layout>
+class NorecProtocol : public lock::LayoutProtocol<Layout> {
+  using Base = lock::LayoutProtocol<Layout>;
+  using Loc = typename Layout::Loc;
+  using Platform = typename Layout::Platform;
 
  public:
-  class Txn final : public core::Transaction {
-   public:
-    Txn() = default;
-    ~Txn() override = default;
-    core::TxStatus status() const override { return status_; }
-    core::TxId id() const override { return id_; }
+  using Options = NorecOptions;
 
-   private:
-    friend class Norec;
+  class Txn final : public Base::TxnBase {
+    friend class NorecProtocol;
     struct ReadEntry {
-      core::TVarId x;
+      Loc loc;
       core::Value value;  // the value this transaction observed
     };
-    core::TxId id_ = 0;
     std::uint64_t snapshot_ = 0;  // even sequence-lock value the reads are
                                   // currently validated against
-    // A pooled descriptor is born finished; prepare() arms it.
-    core::TxStatus status_ = core::TxStatus::kAborted;
     std::vector<ReadEntry> reads_;
-    WriteSet writes_;
     std::uint64_t write_filter_ = 0;
   };
 
-  using Session = core::PooledTmSession<Txn>;
+  NorecProtocol(std::size_t num_tvars, const core::RegionOptions& region,
+                NorecOptions options)
+      : Base(num_tvars, region, /*versioned=*/false), options_(options) {}
 
-  explicit Norec(std::size_t num_tvars, NorecOptions options = {})
-      : options_(options), num_tvars_(num_tvars) {
-    slots_ = std::make_unique<Slot[]>(num_tvars);
+  // Re-arm a pooled descriptor: read/write-set capacity survives, nothing
+  // allocates. NOrec transactions hold no protocol resources before commit.
+  void prepare(Txn& tx) {
+    this->arm(tx);
+    // Snapshot an even (quiescent) sequence-lock value. All shared-word
+    // accesses in this backend are seq_cst: the correctness argument of the
+    // sequence-lock protocol is then a statement about the single total
+    // order S — and seq_cst loads cost the same as acquire loads on the
+    // read hot path of every ISA we target.
+    std::uint64_t s = seqlock_.value.load(std::memory_order_seq_cst);
+    while (s & 1) {
+      Platform::pause();
+      s = seqlock_.value.load(std::memory_order_seq_cst);
+    }
+    tx.snapshot_ = s;
+    tx.reads_.clear();
+    tx.write_filter_ = 0;
   }
 
-  core::TmSession& this_thread_session() override {
-    return session(P::thread_id());
-  }
-
-  core::Transaction& begin(core::TmSession& session) override {
-    Txn& tx = static_cast<Session&>(session).hot();
-    prepare(tx);
-    return tx;
-  }
-
-  core::TxnPtr begin() override {
-    Txn& tx = static_cast<Session&>(session(P::thread_id())).checkout();
-    prepare(tx);
-    return core::TxnPtr(&tx);
-  }
-
-  std::optional<core::Value> read(core::Transaction& t,
-                                  core::TVarId x) override {
-    auto& tx = txn_cast(t);
-    reads_.add();
-    OFTM_ASSERT(x < num_tvars_);
+  std::optional<core::Value> read(Txn& tx, Loc loc) {
+    Layout& layout = this->layout_;
+    this->reads_.add();
     if (tx.status_ != core::TxStatus::kActive) return std::nullopt;
 
-    // Read-your-own-writes from the redo log. With the Bloom ablation a
-    // definite filter miss skips the probe.
     {
-      OFTM_OBS_PHASE(obs_, obs::Phase::kReadLookup);
-      if (!tx.writes_.empty() &&
-          (!options_.bloom_reads ||
-           (tx.write_filter_ & bloom_mask(x)) == bloom_mask(x))) {
-        if (const core::Value* w = tx.writes_.find(x)) return *w;
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kReadLookup);
+      // Read-your-own-writes from the redo log. With the Bloom ablation a
+      // definite filter miss skips the probe.
+      if (!options_.bloom_reads ||
+          (tx.write_filter_ & bloom_mask(loc)) == bloom_mask(loc)) {
+        if (const core::Value* w = tx.writes_.find(loc)) return *w;
+      }
+      // A private region block: invisible to everyone else, so no snapshot
+      // discipline applies (and it must not enter the read set — its values
+      // may legitimately change in place under this transaction).
+      if (layout.owns(tx.res_, loc)) {
+        return layout.load(loc, std::memory_order_relaxed);
       }
     }
 
@@ -211,38 +135,33 @@ class Norec final : public core::TransactionalMemory,
     // sequence lock still equals our snapshot *after* the value load (no
     // commit intervened). If the clock moved, revalidate the whole read
     // set by value and adopt the newer snapshot.
-    core::Value v = slots_[x].value.load(std::memory_order_seq_cst);
+    core::Value v = layout.load(loc, std::memory_order_seq_cst);
     while (seqlock_.value.load(std::memory_order_seq_cst) != tx.snapshot_) {
       if (!revalidate(tx)) {
-        abort_forced(tx, obs::AbortReason::kReadValidation, x);
+        this->abort_forced(tx, obs::AbortReason::kReadValidation,
+                           Layout::key(loc));
         return std::nullopt;
       }
-      v = slots_[x].value.load(std::memory_order_seq_cst);
+      v = layout.load(loc, std::memory_order_seq_cst);
     }
-    tx.reads_.push_back({x, v});
+    tx.reads_.push_back({loc, v});
     return v;
   }
 
-  bool write(core::Transaction& t, core::TVarId x, core::Value v) override {
-    auto& tx = txn_cast(t);
-    writes_.add();
-    OFTM_ASSERT(x < num_tvars_);
-    if (tx.status_ != core::TxStatus::kActive) return false;
-    tx.writes_.put(x, v);
-    tx.write_filter_ |= bloom_mask(x);
+  bool write(Txn& tx, Loc loc, core::Value v) {
+    if (!Base::write(tx, loc, v)) return false;
+    tx.write_filter_ |= bloom_mask(loc);
     return true;
   }
 
-  bool try_commit(core::Transaction& t) override {
-    auto& tx = txn_cast(t);
+  bool try_commit(Txn& tx) {
     if (tx.status_ != core::TxStatus::kActive) return false;
 
     // Read-only fast path: every read was validated against snapshot_ at
     // read time; nothing to publish, and the global clock is not touched
     // (read-only transactions are invisible end to end).
     if (tx.writes_.empty()) {
-      tx.status_ = core::TxStatus::kCommitted;
-      commits_.add();
+      this->settle_commit(tx);
       return true;
     }
 
@@ -252,17 +171,15 @@ class Norec final : public core::TransactionalMemory,
     // retry from the newer snapshot.
     std::uint64_t s = tx.snapshot_;
     {
-      OFTM_OBS_PHASE(obs_, obs::Phase::kCommitLock);
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kCommitLock);
       while (!seqlock_.value.compare_exchange_strong(
           s, s + 1, std::memory_order_seq_cst)) {
-        cm_backoffs_.add();
-        core::TVarId culprit = core::kInvalidTVar;
+        this->cm_backoffs_.add();
+        std::uint64_t culprit = obs::kNoKey;
         if (!revalidate(tx, &culprit)) {
           // The seqlock moved (a concurrent commit) and the read set no
           // longer revalidates at the newer snapshot.
-          abort_forced(tx, obs::AbortReason::kSnapshotChanged,
-                       culprit == core::kInvalidTVar ? obs::kNoKey
-                                                     : culprit);
+          this->abort_forced(tx, obs::AbortReason::kSnapshotChanged, culprit);
           return false;
         }
         s = tx.snapshot_;
@@ -273,92 +190,39 @@ class Norec final : public core::TransactionalMemory,
     // even value. A stall here blocks everyone — the obstruction-freedom
     // trade this backend exists to quantify.
     {
-      OFTM_OBS_PHASE(obs_, obs::Phase::kWriteBack);
-      tx.writes_.for_each([&](core::TVarId x, core::Value v) {
-        slots_[x].value.store(v, std::memory_order_seq_cst);
+      OFTM_OBS_PHASE(this->obs_, obs::Phase::kWriteBack);
+      tx.writes_.for_each([&](Loc loc, core::Value v) {
+        this->layout_.store(loc, v, std::memory_order_seq_cst);
       });
     }
     seqlock_.value.store(tx.snapshot_ + 2, std::memory_order_seq_cst);
-    tx.status_ = core::TxStatus::kCommitted;
-    commits_.add();
+    this->settle_commit(tx);
     return true;
   }
 
-  void try_abort(core::Transaction& t) override {
-    auto& tx = txn_cast(t);
-    if (tx.status_ != core::TxStatus::kActive) return;
-    tx.status_ = core::TxStatus::kAborted;
-    count_requested_abort();
-  }
-
-  std::size_t num_tvars() const override { return num_tvars_; }
-  core::Value read_quiescent(core::TVarId x) const override {
-    return slots_[x].value.load(std::memory_order_seq_cst);
-  }
-  std::string name() const override {
-    return options_.bloom_reads ? "norec+bloom" : "norec";
-  }
-  runtime::TxStats stats() const override { return collect_stats(); }
-  void reset_stats() override { reset_collect_stats(); }
-
- protected:
-  std::unique_ptr<core::TmSession> make_session(
-      core::ThreadSlot slot) override {
-    return std::make_unique<Session>(slot);
+  std::string name() const {
+    return std::string(Layout::kRegion ? "norec-region" : "norec") +
+           (options_.bloom_reads ? "+bloom" : "");
   }
 
  private:
-  struct alignas(runtime::kCacheLineSize) Slot {
-    Atomic<core::Value> value{0};
-  };
-
-  static Txn& txn_cast(core::Transaction& t) { return static_cast<Txn&>(t); }
-
-  // Re-arm a pooled descriptor: read/write-set capacity survives, nothing
-  // allocates. An abandoned active predecessor needs no cleanup here —
-  // NOrec transactions hold no protocol resources before commit.
-  void prepare(Txn& tx) {
-    obs_tx_begin();
-    // Snapshot an even (quiescent) sequence-lock value. All shared-word
-    // accesses in this backend are seq_cst: the correctness argument of the
-    // sequence-lock protocol is then a statement about the single total
-    // order S — and seq_cst loads cost the same as acquire loads on the
-    // read hot path of every ISA we target.
-    std::uint64_t s = seqlock_.value.load(std::memory_order_seq_cst);
-    while (s & 1) {
-      P::pause();
-      s = seqlock_.value.load(std::memory_order_seq_cst);
-    }
-    tx.id_ = next_tx_id();
-    tx.snapshot_ = s;
-    tx.status_ = core::TxStatus::kActive;
-    tx.reads_.clear();
-    tx.writes_.clear();
-    tx.write_filter_ = 0;
-  }
-
-  static core::TxId next_tx_id() {
-    thread_local std::uint64_t counter = 0;
-    return core::make_tx_id(P::thread_id(), ++counter);
-  }
-
   // Value-based revalidation: wait out any in-flight write-back, re-read
   // every read-set entry, and confirm the sequence lock did not move while
   // we looked. On success the transaction adopts the newer snapshot (its
   // reads are consistent *now*, not just at the old time); failure means a
   // conflicting write committed — the only way NOrec ever force-aborts.
-  bool revalidate(Txn& tx, core::TVarId* culprit = nullptr) {
-    OFTM_OBS_PHASE(obs_, obs::Phase::kValidation);
+  bool revalidate(Txn& tx, std::uint64_t* culprit = nullptr) {
+    OFTM_OBS_PHASE(this->obs_, obs::Phase::kValidation);
     for (;;) {
       std::uint64_t time = seqlock_.value.load(std::memory_order_seq_cst);
       if (time & 1) {
-        P::pause();
+        Platform::pause();
         continue;
       }
       bool values_match = true;
       for (const auto& r : tx.reads_) {
-        if (slots_[r.x].value.load(std::memory_order_seq_cst) != r.value) {
-          if (culprit != nullptr) *culprit = r.x;
+        if (this->layout_.load(r.loc, std::memory_order_seq_cst) != r.value) {
+          if (culprit != nullptr) *culprit = Layout::key(r.loc);
           values_match = false;
           break;
         }
@@ -372,20 +236,22 @@ class Norec final : public core::TransactionalMemory,
     }
   }
 
-  void abort_forced(Txn& tx, obs::AbortReason reason,
-                    std::uint64_t key = obs::kNoKey) {
-    tx.status_ = core::TxStatus::kAborted;
-    count_forced_abort(reason, key);
-  }
-
   const NorecOptions options_;
-  const std::size_t num_tvars_;
-  std::unique_ptr<Slot[]> slots_;
   // The one and only ownership record: even = quiescent, odd = a committer
   // is writing back. Every conflict in this TM is mediated here.
-  runtime::CacheAligned<Atomic<std::uint64_t>> seqlock_{0};
+  runtime::CacheAligned<typename Platform::template Atomic<std::uint64_t>>
+      seqlock_{0};
 };
 
+template <typename P>
+using Norec = lock::LayoutTm<NorecProtocol<lock::BoxedLayout<P>>>;
 using HwNorec = Norec<core::HwPlatform>;
+
+// A named class rather than an alias, as lock::Tl2Region.
+class NorecRegion final
+    : public lock::LayoutTm<NorecProtocol<lock::RegionLayout>> {
+ public:
+  using LayoutTm::LayoutTm;
+};
 
 }  // namespace oftm::norec

@@ -3,113 +3,30 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "cm/managers.hpp"
-#include "core/region_tm.hpp"
-#include "dstm/dstm.hpp"
-#include "foctm/foctm.hpp"
-#include "lock/coarse.hpp"
-#include "lock/tl.hpp"
-#include "lock/tl2.hpp"
-#include "lock/tl2_region.hpp"
-#include "norec/norec.hpp"
-#include "norec/norec_region.hpp"
+#include "workload/visit.hpp"
 
 namespace oftm::workload {
+namespace {
 
-std::unique_ptr<core::TransactionalMemory> make_tm(const std::string& name,
-                                                   std::size_t num_tvars) {
-  std::string base = name;
-  std::string cm_name = "polite";
-  bool has_cm = false;
-  if (const auto colon = name.find(':'); colon != std::string::npos) {
-    base = name.substr(0, colon);
-    cm_name = name.substr(colon + 1);
-    has_cm = true;
-  }
-  // Only the DSTM family takes a contention manager; a ':<cm>' suffix on
-  // any other backend is a recipe typo and must fail loudly, not silently
-  // run the base backend.
-  if (has_cm && base != "dstm" && base != "dstm-collapse" &&
-      base != "dstm-visible") {
-    throw std::invalid_argument("backend does not take a contention manager: " +
-                                name);
-  }
-
-  if (base == "dstm" || base == "dstm-collapse" || base == "dstm-visible") {
-    dstm::DstmOptions options;
-    options.eager_collapse = (base == "dstm-collapse");
-    options.visible_reads = (base == "dstm-visible");
-    return std::make_unique<dstm::HwDstm>(num_tvars,
-                                          cm::make_manager(cm_name), options);
-  }
-  if (base == "foctm") {
-    return std::make_unique<
-        foctm::Foctm<core::HwPlatform, foc::CasFocPolicy<core::HwPlatform>>>(
-        num_tvars, foctm::FoctmOptions{/*use_hints=*/false});
-  }
-  if (base == "foctm-hinted") {
-    return std::make_unique<
-        foctm::Foctm<core::HwPlatform, foc::CasFocPolicy<core::HwPlatform>>>(
-        num_tvars, foctm::FoctmOptions{/*use_hints=*/true});
-  }
-  if (base == "foctm-strict") {
-    return std::make_unique<foctm::Foctm<
-        core::HwPlatform, foc::StrictFocPolicy<core::HwPlatform>>>(
-        num_tvars, foctm::FoctmOptions{/*use_hints=*/true});
-  }
-  if (base == "tl") {
-    return std::make_unique<lock::HwTl>(num_tvars);
-  }
-  if (base == "tl2") {
-    return std::make_unique<lock::HwTl2>(num_tvars);
-  }
-  if (base == "tl2-ext") {
-    lock::Tl2Options options;
-    options.rv_extension = true;
-    return std::make_unique<lock::HwTl2>(num_tvars, options);
-  }
-  if (base == "coarse") {
-    return std::make_unique<lock::HwCoarse>(num_tvars);
-  }
-  if (base == "norec") {
-    return std::make_unique<norec::HwNorec>(num_tvars);
-  }
-  if (base == "norec-bloom") {
-    norec::NorecOptions options;
-    options.bloom_reads = true;
-    return std::make_unique<norec::HwNorec>(num_tvars, options);
-  }
-  if (base == "tl2-region") {
-    return std::make_unique<core::RegionWordTm<lock::Tl2Region>>(num_tvars);
-  }
-  if (base == "norec-region") {
-    return std::make_unique<core::RegionWordTm<norec::NorecRegion>>(num_tvars);
-  }
-  throw std::invalid_argument("unknown TM backend: " + name);
+std::unique_ptr<core::TransactionalMemory> build(const std::string& name,
+                                                 std::size_t num_tvars,
+                                                 bool for_containers) {
+  return detail::build_recipe(
+      name, num_tvars, for_containers,
+      [](auto backend, auto&&... args)
+          -> std::unique_ptr<core::TransactionalMemory> {
+        return std::make_unique<typename decltype(backend)::type>(
+            std::forward<decltype(args)>(args)...);
+      });
 }
 
-std::unique_ptr<core::TransactionalMemory> make_tm_for_containers(
-    const std::string& name, std::size_t words) {
-  if (name == "tl2-region" || name == "norec-region") {
-    // The t-var word array, the containers' statics (≈ the same words
-    // again), node churn, and slack for size-class rounding.
-    core::RegionOptions options;
-    options.capacity_bytes =
-        3 * words * sizeof(core::Value) + (std::size_t{2} << 20);
-    if (name == "tl2-region") {
-      return std::make_unique<core::RegionWordTm<lock::Tl2Region>>(words,
-                                                                   options);
-    }
-    return std::make_unique<core::RegionWordTm<norec::NorecRegion>>(words,
-                                                                    options);
-  }
-  return make_tm(name, words);
-}
-
-std::unique_ptr<core::TransactionalMemory> make_tm_for_containers_cli(
-    const std::string& name, std::size_t words) {
+// The CLI error path: an unknown recipe prints the error and the recipe
+// list, and yields nullptr for the caller to exit 2 on.
+std::unique_ptr<core::TransactionalMemory> build_cli(const std::string& name,
+                                                     std::size_t num_tvars,
+                                                     bool for_containers) {
   try {
-    return make_tm_for_containers(name, words);
+    return build(name, num_tvars, for_containers);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "error: %s\n\navailable backend recipes:\n",
                  e.what());
@@ -121,6 +38,28 @@ std::unique_ptr<core::TransactionalMemory> make_tm_for_containers_cli(
                  "contention-manager suffix)\n");
     return nullptr;
   }
+}
+
+}  // namespace
+
+std::unique_ptr<core::TransactionalMemory> make_tm(const std::string& name,
+                                                   std::size_t num_tvars) {
+  return build(name, num_tvars, /*for_containers=*/false);
+}
+
+std::unique_ptr<core::TransactionalMemory> make_tm_for_containers(
+    const std::string& name, std::size_t words) {
+  return build(name, words, /*for_containers=*/true);
+}
+
+std::unique_ptr<core::TransactionalMemory> make_tm_cli(const std::string& name,
+                                                       std::size_t num_tvars) {
+  return build_cli(name, num_tvars, /*for_containers=*/false);
+}
+
+std::unique_ptr<core::TransactionalMemory> make_tm_for_containers_cli(
+    const std::string& name, std::size_t words) {
+  return build_cli(name, words, /*for_containers=*/true);
 }
 
 const std::vector<std::string>& default_backends() {

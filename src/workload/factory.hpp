@@ -1,7 +1,7 @@
 // Backend factory: construct any TM in this repo by name. Used by benches,
 // tests and examples so experiment code is backend-agnostic.
 //
-// Two entry points share one recipe grammar:
+// Two entry points construct from one recipe table (workload/visit.hpp):
 //   make_tm()  (here)                — type-erased core::TransactionalMemory,
 //                                      the portability tier every checker and
 //                                      the conformance harness drive.
@@ -26,11 +26,11 @@
 //                      anchored against (see src/norec/norec.hpp).
 //   norec-bloom        NOrec with a Bloom-filter write-set gate on the
 //                      read path (the classic hot-path ablation).
-//   tl2-region         TL2 over the word-granular region tier: raw-memory
-//                      heap, metadata in a global lock-stripe table
-//                      (src/lock/tl2_region.hpp), t-variables laid out as
-//                      contiguous heap words via core::RegionWordTm.
-//   norec-region       NOrec over the region tier (no per-word metadata;
+//   tl2-region         TL2 over the word-granular region layout
+//                      (lock::RegionLayout in src/lock/layout.hpp): raw-
+//                      memory heap, lock words in a global stripe table,
+//                      t-variables laid out as contiguous heap words.
+//   norec-region       NOrec over the region layout (no per-word metadata;
 //                      the region baseline the stripe sweep compares to).
 #pragma once
 
@@ -53,11 +53,13 @@ std::unique_ptr<core::TransactionalMemory> make_tm(const std::string& name,
 std::unique_ptr<core::TransactionalMemory> make_tm_for_containers(
     const std::string& name, std::size_t words);
 
-// CLI front end shared by the examples and the service tools: same as
-// make_tm_for_containers, but an unknown recipe prints the error plus the
-// full recipe list to stderr and returns nullptr instead of throwing —
-// the caller exits non-zero. Keeps every binary's usage message in sync
-// with the factory grammar.
+// CLI front ends shared by the examples and the service tools: same as
+// make_tm / make_tm_for_containers, but an unknown recipe prints the error
+// plus the full recipe list to stderr and returns nullptr instead of
+// throwing — the caller exits 2. Keeps every binary's usage message in
+// sync with the factory grammar.
+std::unique_ptr<core::TransactionalMemory> make_tm_cli(const std::string& name,
+                                                       std::size_t num_tvars);
 std::unique_ptr<core::TransactionalMemory> make_tm_for_containers_cli(
     const std::string& name, std::size_t words);
 

@@ -9,10 +9,11 @@
 //     result = workload::run_workload(tm, config);  // concrete overload
 //   });
 //
-// Accepts exactly the recipes make_tm() accepts (same names, same options,
-// same error behaviour — a drift test in tm_conformance_test.cpp pins the
-// two tables against each other). The TM lives for the duration of the
-// call; the lambda's return value (if any) is passed through.
+// Both entry points construct from the one recipe table below
+// (detail::build_recipe), so they accept the same names with the same
+// options and the same errors; a drift test in session_reuse_test.cpp
+// still pins them against each other. The TM lives for the duration of
+// the call; the lambda's return value (if any) is passed through.
 #pragma once
 
 #include <stdexcept>
@@ -21,23 +22,27 @@
 #include <utility>
 
 #include "cm/managers.hpp"
-#include "core/region_tm.hpp"
+#include "core/region.hpp"
 #include "dstm/dstm.hpp"
 #include "foctm/foctm.hpp"
 #include "lock/coarse.hpp"
 #include "lock/tl.hpp"
 #include "lock/tl2.hpp"
-#include "lock/tl2_region.hpp"
 #include "norec/norec.hpp"
-#include "norec/norec_region.hpp"
 
 namespace oftm::workload {
+namespace detail {
 
-template <typename F>
-auto visit_tm(const std::string& name, std::size_t num_tvars, F&& f) {
-  // All branches must agree on the return type; a generic lambda does.
-  using R = std::invoke_result_t<F&, norec::HwNorec&>;
+template <typename Tm>
+inline constexpr std::type_identity<Tm> kBackend{};
 
+// The recipe table (grammar in workload/factory.hpp): parses `name` once
+// and returns build(kBackend<Tm>, constructor arguments...) for the
+// concrete backend it names. `for_containers` selects
+// make_tm_for_containers's arena sizing for the region recipes.
+template <typename Build>
+auto build_recipe(const std::string& name, std::size_t num_tvars,
+                  bool for_containers, Build&& build) {
   std::string base = name;
   std::string cm_name = "polite";
   bool has_cm = false;
@@ -46,82 +51,84 @@ auto visit_tm(const std::string& name, std::size_t num_tvars, F&& f) {
     cm_name = name.substr(colon + 1);
     has_cm = true;
   }
+  const bool is_dstm =
+      base == "dstm" || base == "dstm-collapse" || base == "dstm-visible";
   // Only the DSTM family takes a contention manager; a ':<cm>' suffix on
   // any other backend is a recipe typo and must fail loudly, not silently
   // run the base backend.
-  if (has_cm && base != "dstm" && base != "dstm-collapse" &&
-      base != "dstm-visible") {
+  if (has_cm && !is_dstm) {
     throw std::invalid_argument("backend does not take a contention manager: " +
                                 name);
   }
 
-  auto invoke = [&f](auto& tm) -> R {
-    if constexpr (std::is_void_v<R>) {
-      f(tm);
-    } else {
-      return f(tm);
-    }
-  };
+  using CasFoctm =
+      foctm::Foctm<core::HwPlatform, foc::CasFocPolicy<core::HwPlatform>>;
+  using StrictFoctm =
+      foctm::Foctm<core::HwPlatform, foc::StrictFocPolicy<core::HwPlatform>>;
+  // Region recipes run containers over the same t-var word array plus the
+  // containers' statics (≈ the same words again), node churn, and slack
+  // for size-class rounding; plain recipes size the arena from num_tvars.
+  core::RegionOptions region;
+  if (for_containers) {
+    region.capacity_bytes =
+        3 * num_tvars * sizeof(core::Value) + (std::size_t{2} << 20);
+  }
 
-  if (base == "dstm" || base == "dstm-collapse" || base == "dstm-visible") {
+  if (is_dstm) {
     dstm::DstmOptions options;
     options.eager_collapse = (base == "dstm-collapse");
     options.visible_reads = (base == "dstm-visible");
-    dstm::HwDstm tm(num_tvars, cm::make_manager(cm_name), options);
-    return invoke(tm);
+    return build(kBackend<dstm::HwDstm>, num_tvars, cm::make_manager(cm_name),
+                 options);
   }
   if (base == "foctm") {
-    foctm::Foctm<core::HwPlatform, foc::CasFocPolicy<core::HwPlatform>> tm(
-        num_tvars, foctm::FoctmOptions{/*use_hints=*/false});
-    return invoke(tm);
+    return build(kBackend<CasFoctm>, num_tvars,
+                 foctm::FoctmOptions{/*use_hints=*/false});
   }
   if (base == "foctm-hinted") {
-    foctm::Foctm<core::HwPlatform, foc::CasFocPolicy<core::HwPlatform>> tm(
-        num_tvars, foctm::FoctmOptions{/*use_hints=*/true});
-    return invoke(tm);
+    return build(kBackend<CasFoctm>, num_tvars,
+                 foctm::FoctmOptions{/*use_hints=*/true});
   }
   if (base == "foctm-strict") {
-    foctm::Foctm<core::HwPlatform, foc::StrictFocPolicy<core::HwPlatform>> tm(
-        num_tvars, foctm::FoctmOptions{/*use_hints=*/true});
-    return invoke(tm);
+    return build(kBackend<StrictFoctm>, num_tvars,
+                 foctm::FoctmOptions{/*use_hints=*/true});
   }
-  if (base == "tl") {
-    lock::HwTl tm(num_tvars);
-    return invoke(tm);
-  }
-  if (base == "tl2") {
-    lock::HwTl2 tm(num_tvars);
-    return invoke(tm);
-  }
+  if (base == "tl") return build(kBackend<lock::HwTl>, num_tvars);
+  if (base == "tl2") return build(kBackend<lock::HwTl2>, num_tvars);
   if (base == "tl2-ext") {
     lock::Tl2Options options;
     options.rv_extension = true;
-    lock::HwTl2 tm(num_tvars, options);
-    return invoke(tm);
+    return build(kBackend<lock::HwTl2>, num_tvars, options);
   }
-  if (base == "coarse") {
-    lock::HwCoarse tm(num_tvars);
-    return invoke(tm);
-  }
-  if (base == "norec") {
-    norec::HwNorec tm(num_tvars);
-    return invoke(tm);
-  }
+  if (base == "coarse") return build(kBackend<lock::HwCoarse>, num_tvars);
+  if (base == "norec") return build(kBackend<norec::HwNorec>, num_tvars);
   if (base == "norec-bloom") {
     norec::NorecOptions options;
     options.bloom_reads = true;
-    norec::HwNorec tm(num_tvars, options);
-    return invoke(tm);
+    return build(kBackend<norec::HwNorec>, num_tvars, options);
   }
   if (base == "tl2-region") {
-    core::RegionWordTm<lock::Tl2Region> tm(num_tvars);
-    return invoke(tm);
+    return build(kBackend<lock::Tl2Region>, num_tvars, region);
   }
   if (base == "norec-region") {
-    core::RegionWordTm<norec::NorecRegion> tm(num_tvars);
-    return invoke(tm);
+    return build(kBackend<norec::NorecRegion>, num_tvars, region);
   }
   throw std::invalid_argument("unknown TM backend: " + name);
+}
+
+}  // namespace detail
+
+template <typename F>
+auto visit_tm(const std::string& name, std::size_t num_tvars, F&& f) {
+  // All branches must agree on the return type; a generic lambda does.
+  using R = std::invoke_result_t<F&, norec::HwNorec&>;
+  return detail::build_recipe(
+      name, num_tvars, /*for_containers=*/false,
+      [&f](auto backend, auto&&... args) -> R {
+        typename decltype(backend)::type tm(
+            std::forward<decltype(args)>(args)...);
+        return f(tm);
+      });
 }
 
 }  // namespace oftm::workload

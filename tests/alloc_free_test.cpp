@@ -20,13 +20,10 @@
 
 #include "core/atomically.hpp"
 #include "core/memory_model.hpp"
-#include "core/region_tm.hpp"
 #include "core/tm.hpp"
 #include "ds/tlist.hpp"
 #include "lock/tl2.hpp"
-#include "lock/tl2_region.hpp"
 #include "norec/norec.hpp"
-#include "norec/norec_region.hpp"
 #include "runtime/stats.hpp"
 
 namespace {
@@ -62,6 +59,14 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+// The sized aligned forms too: left to the runtime, they would hand
+// malloc'd blocks to a sanitizer's own delete (alloc-dealloc mismatch).
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace oftm {
 namespace {
@@ -134,12 +139,12 @@ TEST(AllocFree, Tl2HotPathAllocatesNothingAfterWarmup) {
 // scratch and epoch pin in place — the RegionHeap itself is only touched
 // by tx_alloc/tx_free, which this steady state does not issue.
 TEST(AllocFree, Tl2RegionHotPathAllocatesNothingAfterWarmup) {
-  core::RegionWordTm<lock::Tl2Region> tm(kNumTVars);
+  lock::Tl2Region tm(kNumTVars);
   expect_zero_alloc_hot_path(tm);
 }
 
 TEST(AllocFree, NorecRegionHotPathAllocatesNothingAfterWarmup) {
-  core::RegionWordTm<norec::NorecRegion> tm(kNumTVars);
+  norec::NorecRegion tm(kNumTVars);
   expect_zero_alloc_hot_path(tm);
 }
 
@@ -149,29 +154,28 @@ TEST(AllocFree, NorecRegionHotPathAllocatesNothingAfterWarmup) {
 TEST(AllocFree, RegionAllocFreeChurnSteadyStateAllocatesNothing) {
   core::RegionOptions options;
   options.capacity_bytes = 1 << 20;
-  lock::Tl2Region region{options};
-  auto* slot = static_cast<core::Value*>(region.heap().alloc(8));
+  lock::Tl2Region tm(/*num_tvars=*/1, options);
+  auto* slot = static_cast<core::Value*>(tm.alloc_quiescent(8));
   ASSERT_NE(slot, nullptr);
-  lock::Tl2Region::Session session(0);
+  core::TmSession& session = tm.session(0);
 
   const auto churn = [&](int count) {
     for (int i = 0; i < count; ++i) {
-      auto& tx = session.hot();
-      region.prepare(tx);
-      const auto cur = region.read(tx, slot);
+      core::Transaction& tx = tm.begin(session);
+      const auto cur = tm.read_word(tx, slot);
       ASSERT_TRUE(cur.has_value());
       if (*cur != 0) {
         auto* old = reinterpret_cast<core::Value*>(
             static_cast<std::uintptr_t>(*cur));
-        ASSERT_TRUE(region.tx_free(tx, old));
+        ASSERT_TRUE(tm.tx_free(tx, old));
       }
-      void* p = region.tx_alloc(tx, 64);
+      void* p = tm.tx_alloc(tx, 64);
       ASSERT_NE(p, nullptr);
-      ASSERT_TRUE(region.write(tx, static_cast<core::Value*>(p), 1));
-      ASSERT_TRUE(region.write(tx, slot,
-                               static_cast<core::Value>(
-                                   reinterpret_cast<std::uintptr_t>(p))));
-      ASSERT_TRUE(region.try_commit(tx));
+      ASSERT_TRUE(tm.write_word(tx, static_cast<core::Value*>(p), 1));
+      ASSERT_TRUE(tm.write_word(
+          tx, slot,
+          static_cast<core::Value>(reinterpret_cast<std::uintptr_t>(p))));
+      ASSERT_TRUE(tm.try_commit(tx));
     }
   };
   churn(600);  // warm-up: free lists, retire ring, descriptor logs
@@ -192,7 +196,7 @@ TEST(AllocFree, RegionContainerChurnSteadyStateAllocatesNothing) {
   constexpr std::uint32_t kCap = 64;
   core::RegionOptions options;
   options.capacity_bytes = 1 << 20;
-  core::RegionWordTm<lock::Tl2Region> tm(
+  lock::Tl2Region tm(
       ds::TListSetT<core::RegionMemory>::tvars_needed(kCap), options);
   ds::TListSetT<core::RegionMemory> set(tm, 0, kCap);
   set.init();

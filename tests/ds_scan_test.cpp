@@ -58,11 +58,12 @@ void map_scan_oracle(const std::string& backend) {
   EXPECT_EQ(seen, oracle);
 
   // range_sum matches the oracle on several windows, boundaries included.
-  for (const auto [lo, hi] : {std::pair<std::uint64_t, std::uint64_t>{0, 500},
-                              {100, 200},
-                              {250, 251},
-                              {499, 500},
-                              {7, 7}}) {
+  for (const auto& [lo, hi] :
+       {std::pair<std::uint64_t, std::uint64_t>{0, 500},
+        {100, 200},
+        {250, 251},
+        {499, 500},
+        {7, 7}}) {
     core::Value expected = 0;
     for (const auto& [k, v] : oracle) {
       if (k >= lo && k < hi) expected += v;

@@ -90,8 +90,12 @@ TEST(Tl, VersionBumpInvalidatesConcurrentReader) {
   EXPECT_FALSE(tm.read(*reader, 1).has_value());  // revalidation fails
 }
 
-TEST(Tl2, ReadOnlyFastPathCommitsWithoutLocks) {
-  HwTl2 tm(8);
+// TL2 is written once over two metadata layouts, and its protocol tests
+// run on both: boxed t-variables (Tl2.*) and region words under stripe
+// locks (Tl2Region.*).
+template <typename Tm>
+void read_only_fast_path_commits_without_locks() {
+  Tm tm(8);
   {
     auto w = tm.begin();
     ASSERT_TRUE(tm.write(*w, 0, 1));
@@ -107,8 +111,17 @@ TEST(Tl2, ReadOnlyFastPathCommitsWithoutLocks) {
   EXPECT_TRUE(tm.try_commit(*r2));
 }
 
-TEST(Tl2, StaleReadVersionAborts) {
-  HwTl2 tm(8);
+TEST(Tl2, ReadOnlyFastPathCommitsWithoutLocks) {
+  read_only_fast_path_commits_without_locks<HwTl2>();
+}
+
+TEST(Tl2Region, ReadOnlyFastPathCommitsWithoutLocks) {
+  read_only_fast_path_commits_without_locks<Tl2Region>();
+}
+
+template <typename Tm>
+void stale_read_version_aborts() {
+  Tm tm(8);
   auto old_txn = tm.begin();  // rv captured now
   {
     auto w = tm.begin();
@@ -119,11 +132,20 @@ TEST(Tl2, StaleReadVersionAborts) {
   EXPECT_EQ(old_txn->status(), core::TxStatus::kAborted);
 }
 
-TEST(Tl2, WriteSetLockedInCanonicalOrder) {
+TEST(Tl2, StaleReadVersionAborts) {
+  stale_read_version_aborts<HwTl2>();
+}
+
+TEST(Tl2Region, StaleReadVersionAborts) {
+  stale_read_version_aborts<Tl2Region>();
+}
+
+template <typename Tm>
+void write_set_locked_in_canonical_order() {
   // Two transactions with reversed write orders must not deadlock (commit
-  // locks sort by t-variable id); sequential here, stress covers the
-  // concurrent case.
-  HwTl2 tm(8);
+  // locks are taken in lock-index order); sequential here, stress covers
+  // the concurrent case.
+  Tm tm(8);
   auto t1 = tm.begin();
   ASSERT_TRUE(tm.write(*t1, 3, 1));
   ASSERT_TRUE(tm.write(*t1, 1, 2));
@@ -136,8 +158,17 @@ TEST(Tl2, WriteSetLockedInCanonicalOrder) {
   EXPECT_EQ(tm.read_quiescent(3), 4u);
 }
 
-TEST(Tl2, CommitValidatesReadSet) {
-  HwTl2 tm(8);
+TEST(Tl2, WriteSetLockedInCanonicalOrder) {
+  write_set_locked_in_canonical_order<HwTl2>();
+}
+
+TEST(Tl2Region, WriteSetLockedInCanonicalOrder) {
+  write_set_locked_in_canonical_order<Tl2Region>();
+}
+
+template <typename Tm>
+void commit_validates_read_set() {
+  Tm tm(8);
   auto txn = tm.begin();
   EXPECT_EQ(tm.read(*txn, 0).value(), 0u);
   ASSERT_TRUE(tm.write(*txn, 1, 5));
@@ -148,6 +179,14 @@ TEST(Tl2, CommitValidatesReadSet) {
   }
   EXPECT_FALSE(tm.try_commit(*txn));  // read of x is stale
   EXPECT_EQ(tm.read_quiescent(1), 0u);
+}
+
+TEST(Tl2, CommitValidatesReadSet) {
+  commit_validates_read_set<HwTl2>();
+}
+
+TEST(Tl2Region, CommitValidatesReadSet) {
+  commit_validates_read_set<Tl2Region>();
 }
 
 TEST(Tl2, RvExtensionRescuesStaleReader) {

@@ -11,10 +11,12 @@
 //   * stats plumbing for the NOrec event vocabulary.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 
 #include "core/tm.hpp"
+#include "lock/layout.hpp"
 #include "norec/norec.hpp"
 #include "tm_conformance.hpp"
 #include "workload/factory.hpp"
@@ -42,7 +44,11 @@ class NorecTest : public ::testing::TestWithParam<std::string> {
 };
 
 TEST_P(NorecTest, NameReflectsRecipe) {
-  EXPECT_EQ(tm_->name(), GetParam() == "norec" ? "norec" : "norec+bloom");
+  const std::map<std::string, std::string> expected = {
+      {"norec", "norec"},
+      {"norec-bloom", "norec+bloom"},
+      {"norec-region", "norec-region"}};
+  EXPECT_EQ(tm_->name(), expected.at(GetParam()));
 }
 
 TEST_P(NorecTest, SoloTransactionsNeverForceAbort) {
@@ -162,16 +168,19 @@ TEST_P(NorecTest, ReadOnlyTransactionsDoNotInvalidatePeers) {
   EXPECT_EQ(s.cm_backoffs, 0u);
 }
 
+// NOrec is written once over two metadata layouts; "norec-region" runs
+// the same protocol over region words.
 INSTANTIATE_TEST_SUITE_P(NorecRecipes, NorecTest,
-                         ::testing::Values("norec", "norec-bloom"),
+                         ::testing::Values("norec", "norec-bloom",
+                                           "norec-region"),
                          conformance::backend_param_name);
 
 // The same ABA history on TL2 for contrast: the version clock cannot tell
 // "restored" from "changed", so the reader must be force-aborted at commit.
 // Pinning both sides documents the value-vs-version validation distinction
-// the NOrec backend exists to exhibit.
-TEST(NorecVsTl2, Tl2RejectsTheWriteThenRestoreHistory) {
-  auto tl2 = workload::make_tm("tl2", 16);
+// the NOrec backend exists to exhibit — on both TL2 layouts.
+void expect_tl2_rejects_write_then_restore(const std::string& recipe) {
+  auto tl2 = workload::make_tm(recipe, 16);
   TxnPtr reader = tl2->begin();
   ASSERT_EQ(tl2->read(*reader, 0).value(), 0u);
   {
@@ -193,36 +202,60 @@ TEST(NorecVsTl2, Tl2RejectsTheWriteThenRestoreHistory) {
   EXPECT_GE(tl2->stats().forced_aborts, 1u);
 }
 
-// Direct (non-factory) coverage of the open-addressed write set: collision
-// chains, overwrite-in-place, growth rehashing.
-TEST(NorecWriteSet, PutFindGrowForEach) {
-  norec::WriteSet ws;
+TEST(NorecVsTl2, Tl2RejectsTheWriteThenRestoreHistory) {
+  expect_tl2_rejects_write_then_restore("tl2");
+}
+
+TEST(NorecVsTl2, Tl2RegionRejectsTheWriteThenRestoreHistory) {
+  expect_tl2_rejects_write_then_restore("tl2-region");
+}
+
+// Direct (non-factory) coverage of the open-addressed write set both
+// protocols share: collision chains, overwrite-in-place, growth
+// rehashing — for both location types, TVarId (boxed layout) and word
+// address (region layout).
+template <typename Key>
+void expect_write_set_put_find_grow_for_each(Key (*key)(std::size_t)) {
+  lock::WriteSet<Key> ws;
   EXPECT_TRUE(ws.empty());
-  EXPECT_EQ(ws.find(3), nullptr);
+  EXPECT_EQ(ws.find(key(3)), nullptr);
 
-  for (core::TVarId x = 0; x < 100; ++x) ws.put(x, x * 10);
+  for (std::size_t i = 0; i < 100; ++i) ws.put(key(i), i * 10);
   EXPECT_EQ(ws.size(), 100u);
-  for (core::TVarId x = 0; x < 100; ++x) {
-    const core::Value* v = ws.find(x);
-    ASSERT_NE(v, nullptr) << x;
-    EXPECT_EQ(*v, x * 10u);
+  for (std::size_t i = 0; i < 100; ++i) {
+    const core::Value* v = ws.find(key(i));
+    ASSERT_NE(v, nullptr) << i;
+    EXPECT_EQ(*v, i * 10u);
   }
-  EXPECT_EQ(ws.find(100), nullptr);
+  EXPECT_EQ(ws.find(key(100)), nullptr);
 
-  ws.put(7, 777);  // overwrite must not create a second entry
+  ws.put(key(7), 777);  // overwrite must not create a second entry
   EXPECT_EQ(ws.size(), 100u);
-  EXPECT_EQ(*ws.find(7), 777u);
+  EXPECT_EQ(*ws.find(key(7)), 777u);
 
   std::size_t seen = 0;
   core::Value sum = 0;
-  ws.for_each([&](core::TVarId, core::Value v) {
+  ws.for_each([&](Key, core::Value v) {
     ++seen;
     sum += v;
   });
   EXPECT_EQ(seen, 100u);
   core::Value expect_sum = 0;
-  for (core::TVarId x = 0; x < 100; ++x) expect_sum += x * 10;
+  for (std::size_t i = 0; i < 100; ++i) expect_sum += i * 10;
   EXPECT_EQ(sum, expect_sum - 70 + 777);
+
+  ws.clear();
+  EXPECT_TRUE(ws.empty());
+  EXPECT_EQ(ws.find(key(7)), nullptr);
+}
+
+core::Value g_words[101];
+
+TEST(NorecWriteSet, PutFindGrowForEach) {
+  expect_write_set_put_find_grow_for_each<core::TVarId>(
+      [](std::size_t i) { return static_cast<core::TVarId>(i); });
+  expect_write_set_put_find_grow_for_each<core::Value*>(
+      [](std::size_t i) { return &g_words[i]; });
 }
 
 }  // namespace

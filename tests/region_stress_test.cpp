@@ -23,8 +23,9 @@
 #include <vector>
 
 #include "core/region.hpp"
-#include "lock/tl2_region.hpp"
-#include "norec/norec_region.hpp"
+#include "core/tm.hpp"
+#include "lock/tl2.hpp"
+#include "norec/norec.hpp"
 #include "runtime/barrier.hpp"
 #include "runtime/xorshift.hpp"
 
@@ -40,12 +41,12 @@ template <typename R>
 void run_churn() {
   core::RegionOptions options;
   options.capacity_bytes = 4 << 20;
-  R region{options};
+  R tm(/*num_tvars=*/1, options);
 
   auto* slots = static_cast<core::Value*>(
-      region.heap().alloc(kSlots * sizeof(core::Value)));
+      tm.alloc_quiescent(kSlots * sizeof(core::Value)));
   ASSERT_NE(slots, nullptr);
-  const std::size_t baseline = region.heap().allocated_bytes();
+  const std::size_t baseline = tm.layout().heap().allocated_bytes();
 
   std::atomic<std::uint64_t> stamp_mix_failures{0};
   std::atomic<std::uint64_t> committed{0};
@@ -54,7 +55,7 @@ void run_churn() {
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
-      typename R::Session session(t);
+      core::TmSession& session = tm.session(t);
       runtime::Xoshiro256 rng(0xC0FFEE + static_cast<std::uint64_t>(t));
       std::uint64_t counter = 0;
 
@@ -68,10 +69,9 @@ void run_churn() {
 
         // Retry until this logical operation commits.
         for (;;) {
-          typename R::Txn& tx = session.hot();
-          region.prepare(tx);
+          core::Transaction& tx = tm.begin(session);
 
-          const auto cur = region.read(tx, &slots[s]);
+          const auto cur = tm.read_word(tx, &slots[s]);
           if (!cur.has_value()) continue;  // forced abort: retry
 
           bool ok = true;
@@ -83,7 +83,7 @@ void run_churn() {
             core::Value seen = 0;
             bool mixed = false;
             for (std::size_t w = 0; ok && w < kNodeWords; ++w) {
-              const auto v = region.read(tx, &node[w]);
+              const auto v = tm.read_word(tx, &node[w]);
               if (!v.has_value()) {
                 ok = false;
                 break;
@@ -96,16 +96,16 @@ void run_churn() {
             }
             if (!ok) continue;
             if (mixed) stamp_mix_failures.fetch_add(1);
-            ok = region.write(tx, &slots[s], 0) && region.tx_free(tx, node);
+            ok = tm.write_word(tx, &slots[s], 0) && tm.tx_free(tx, node);
           } else if (*cur == 0) {
             // Allocate, initialize in place (private), publish.
-            void* p = region.tx_alloc(tx, kNodeWords * sizeof(core::Value));
+            void* p = tm.tx_alloc(tx, kNodeWords * sizeof(core::Value));
             ASSERT_NE(p, nullptr);
             auto* node = static_cast<core::Value*>(p);
             for (std::size_t w = 0; ok && w < kNodeWords; ++w) {
-              ok = region.write(tx, &node[w], stamp);
+              ok = tm.write_word(tx, &node[w], stamp);
             }
-            ok = ok && region.write(
+            ok = ok && tm.write_word(
                            tx, &slots[s],
                            static_cast<core::Value>(
                                reinterpret_cast<std::uintptr_t>(node)));
@@ -116,7 +116,7 @@ void run_churn() {
                 static_cast<std::uintptr_t>(*cur));
             core::Value seen = 0;
             for (std::size_t w = 0; ok && w < kNodeWords; ++w) {
-              const auto v = region.read(tx, &node[w]);
+              const auto v = tm.read_word(tx, &node[w]);
               if (!v.has_value()) {
                 ok = false;
                 break;
@@ -129,7 +129,7 @@ void run_churn() {
             }
             if (!ok) continue;
           }
-          if (ok && region.try_commit(tx)) {
+          if (ok && tm.try_commit(tx)) {
             committed.fetch_add(1);
             break;
           }
@@ -140,7 +140,7 @@ void run_churn() {
       // quiescent (the retire lists are per-thread; nobody else can sweep
       // them once this thread exits).
       done.arrive_and_wait();
-      for (int k = 0; k < 6; ++k) region.heap().epochs().reclaim();
+      for (int k = 0; k < 6; ++k) tm.layout().heap().epochs().reclaim();
     });
   }
   for (auto& w : workers) w.join();
@@ -152,24 +152,23 @@ void run_churn() {
 
   // Unlink and free every survivor, then drain: the heap must return to
   // its post-setup footprint — no leaked node on any commit/abort path.
-  typename R::Session session(0);
+  core::TmSession& session = tm.session(0);
   for (std::size_t s = 0; s < kSlots; ++s) {
     for (;;) {
-      typename R::Txn& tx = session.hot();
-      region.prepare(tx);
-      const auto cur = region.read(tx, &slots[s]);
+      core::Transaction& tx = tm.begin(session);
+      const auto cur = tm.read_word(tx, &slots[s]);
       if (!cur.has_value()) continue;
       bool ok = true;
       if (*cur != 0) {
         auto* node = reinterpret_cast<core::Value*>(
             static_cast<std::uintptr_t>(*cur));
-        ok = region.write(tx, &slots[s], 0) && region.tx_free(tx, node);
+        ok = tm.write_word(tx, &slots[s], 0) && tm.tx_free(tx, node);
       }
-      if (ok && region.try_commit(tx)) break;
+      if (ok && tm.try_commit(tx)) break;
     }
   }
-  region.heap().flush_reclamation();
-  EXPECT_EQ(region.heap().allocated_bytes(), baseline);
+  tm.layout().heap().flush_reclamation();
+  EXPECT_EQ(tm.layout().heap().allocated_bytes(), baseline);
 }
 
 TEST(RegionStress, Tl2RegionAllocFreeChurnStaysCoherent) {
@@ -188,23 +187,22 @@ TEST(RegionStress, Tl2RegionCoarseStripesChurnStaysCoherent) {
   options.capacity_bytes = 4 << 20;
   options.granularity_log2 = 6;
   options.stripe_count_log2 = 10;  // small table: capacity aliasing too
-  lock::Tl2Region region{options};
-  auto* slot = static_cast<core::Value*>(region.heap().alloc(8));
+  lock::Tl2Region tm(/*num_tvars=*/1, options);
+  auto* slot = static_cast<core::Value*>(tm.alloc_quiescent(8));
   ASSERT_NE(slot, nullptr);
 
   std::atomic<std::uint64_t> committed{0};
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
-      lock::Tl2Region::Session session(t);
+      core::TmSession& session = tm.session(t);
       for (int i = 0; i < kItersPerThread / 3; ++i) {
         for (;;) {
-          auto& tx = session.hot();
-          region.prepare(tx);
-          const auto v = region.read(tx, slot);
+          core::Transaction& tx = tm.begin(session);
+          const auto v = tm.read_word(tx, slot);
           if (!v.has_value()) continue;
-          if (!region.write(tx, slot, *v + 1)) continue;
-          if (region.try_commit(tx)) {
+          if (!tm.write_word(tx, slot, *v + 1)) continue;
+          if (tm.try_commit(tx)) {
             committed.fetch_add(1);
             break;
           }
@@ -216,7 +214,7 @@ TEST(RegionStress, Tl2RegionCoarseStripesChurnStaysCoherent) {
   const auto expected =
       static_cast<std::uint64_t>(kThreads) * (kItersPerThread / 3);
   EXPECT_EQ(committed.load(), expected);
-  EXPECT_EQ(region.read_quiescent(slot), expected);
+  EXPECT_EQ(tm.read_word_quiescent(slot), expected);
 }
 
 }  // namespace

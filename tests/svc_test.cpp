@@ -335,9 +335,10 @@ TEST(SvcService, ShardCountIsObservationallyTransparent) {
   }
 
   // Single-shard balance range scans match the oracle too.
-  for (const auto [lo, hi] : {std::pair<std::uint64_t, std::uint64_t>{0, 256},
-                              {10, 50},
-                              {200, 230}}) {
+  for (const auto& [lo, hi] :
+       {std::pair<std::uint64_t, std::uint64_t>{0, 256},
+        {10, 50},
+        {200, 230}}) {
     core::Value expect = 0;
     for (const auto& [k, v] : oracle_balance) {
       if (k >= lo && k < hi) expect += v;
