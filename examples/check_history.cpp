@@ -109,7 +109,7 @@ int selftest(const std::string& backend, int threads) {
 
   auto tm = oftm::workload::make_tm(backend, kTVars);
   oftm::history::Recorder recorder;
-  recorder.reserve(oftm::workload::estimated_history_events(config));
+  recorder.reserve(oftm::workload::estimated_history_events(config, backend));
   oftm::history::RecordingTm recorded(*tm, recorder);
   const auto run = oftm::workload::run_workload(recorded, config);
 

@@ -54,14 +54,25 @@ class THashMapT {
     root_ = mem_.alloc_static(1 + 2 * static_cast<std::size_t>(capacity));
   }
 
+  // One-time initialization, quiescent. The slots are emptied in bounded
+  // batches, one committed transaction each: a pooled descriptor keeps the
+  // capacity of the largest transaction it ever ran, so a single
+  // table-sized transaction would pin an O(capacity) write set on the
+  // initializing thread for the TM's lifetime.
   void init() {
     core::atomically(mem_.tm(), [&](core::TxView& tx) {
       mem_.init(tx);
       mem_.store(tx, root_, kCount, 0);
-      for (std::uint32_t i = 0; i < capacity_; ++i) {
-        mem_.store(tx, root_, key_field(i), kEmptyKey);
-      }
     });
+    for (std::uint32_t at = 0; at < capacity_; at += kInitBatch) {
+      const std::uint32_t end =
+          capacity_ - at > kInitBatch ? at + kInitBatch : capacity_;
+      core::atomically(mem_.tm(), [&](core::TxView& tx) {
+        for (std::uint32_t i = at; i < end; ++i) {
+          mem_.store(tx, root_, key_field(i), kEmptyKey);
+        }
+      });
+    }
   }
 
   // Insert or overwrite; returns true if the key was newly inserted. On a
@@ -176,6 +187,7 @@ class THashMapT {
 
  private:
   static constexpr std::size_t kCount = 0;
+  static constexpr std::uint32_t kInitBatch = 256;
   std::size_t key_field(std::uint32_t i) const {
     return 1 + 2 * static_cast<std::size_t>(i);
   }

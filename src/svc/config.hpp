@@ -13,6 +13,7 @@
 // t-var layout byte for byte.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -93,8 +94,9 @@ struct ServiceConfig {
     const std::uint64_t inflight = 8 * static_cast<std::uint64_t>(clients);
     return next_pow2(inflight < 64 ? 64 : inflight);
   }
-  // Sorted key index (range scans / membership churn): holds every key the
-  // shard owns.
+  // Sorted key index (range scans / membership churn): a skip list holding
+  // every key the shard owns. Its arena bound (a base node per key plus at
+  // most as many index nodes) is hard, so tall towers only ever shorten.
   std::uint32_t index_capacity() const {
     return static_cast<std::uint32_t>(per_shard_key_bound());
   }
@@ -110,9 +112,11 @@ struct ServiceConfig {
 // checked-stress hook injects (word-tier container traffic forwards
 // unrecorded). Per attempt a participating shard records invoke/response
 // pairs for each op plus the tryC pair; the constants below are ceilings
-// per op class, scaled by expected shard participation (point ops touch 1
-// shard, transfers 2, scans all), then by hash-partition skew and an
-// abort-retry slack covering 2PC busy-loops under the default zipf skew.
+// per transaction class, scaled by how many shard transactions a client
+// op runs (point ops 1; transfers up to 4, prepare and commit on two
+// shards; index scans one leg per shard; balance scans 1), then by
+// hash-partition skew and an abort-retry slack covering 2PC busy-loops
+// under the default zipf skew.
 inline std::size_t estimated_shard_history_events(
     const ServiceConfig& cfg, bool records_container_ops) {
   const double total_ops = static_cast<double>(cfg.clients) *
@@ -121,23 +125,38 @@ inline std::size_t estimated_shard_history_events(
   // Scratch-projection hook (3 ops) + tryC: recorded on every attempt of
   // every service transaction, both memory models.
   const double base = 3 * 2 + 2;
-  // Container ceilings per participating shard, boxed recipes only:
-  // point get/put and a transfer leg stay single-digit accesses; index
-  // churn walks the sorted index; a scan reads the shard's whole balance
-  // table plus index.
+  const double ops = records_container_ops ? 2 : 0;  // events per access
+  // Container ceilings per shard transaction, boxed recipes only. Point
+  // get/put and a transfer leg stay single-digit accesses.
+  const double point = base + ops * 12;
+  // The key index is a skip list (ds::TSkipListSetT, 8 levels, p = 1/4).
+  // A search reads a head or down ref and a next ref per level, plus a
+  // key and a next ref per node it steps over — about 4 nodes per level
+  // over log4(n) + 1 levels: O(log n) reads, whatever the key.
   const double keys_per_shard =
       static_cast<double>(cfg.per_shard_key_bound());
-  const double point = base + (records_container_ops ? 24 : 0);
-  const double churn = base + (records_container_ops ? 64 : 0);
-  const double scan =
-      base + (records_container_ops ? 2 * keys_per_shard + 32 : 0);
+  const double search = 2 * 8 + 2 * 4 * (std::log(keys_per_shard) /
+                                             std::log(4.0) + 1);
+  // Churn: an erase, or a missed erase and an insert: two searches, then
+  // per tower level an unlink or an allocate-and-link (≤ 12 accesses on
+  // the boxed allocator) over the expected 4/3 levels, and the root words.
+  const double churn = base + ops * (2 * search + 12 * 4.0 / 3 + 4);
+  // An index scan leg: one search to lo, then the leg's share of the span,
+  // a key and a next ref per key plus the stop key.
+  const double span = static_cast<double>(cfg.scan_span);
+  const double scan_leg = base + ops * (search + 2 * (span / shards) + 2);
+  // A balance scan reads every key slot of one shard's table plus the
+  // values of its live entries.
+  const double balance_scan =
+      base + ops * (static_cast<double>(cfg.map_capacity()) + keys_per_shard);
   const double point_fraction =
       1.0 - cfg.transfer_fraction - cfg.scan_fraction - cfg.churn_fraction;
-  // Expected recorded events per client op, summed over ALL shards.
-  const double per_op = point_fraction * point +
-                        cfg.transfer_fraction * 2 * point +
-                        cfg.churn_fraction * churn +
-                        cfg.scan_fraction * shards * scan;
+  // Expected recorded events per client op, summed over ALL shards; a
+  // scan is an index scan or a balance scan with even odds.
+  const double per_op =
+      point_fraction * point + cfg.transfer_fraction * 4 * point +
+      cfg.churn_fraction * churn +
+      cfg.scan_fraction * (0.5 * shards * scan_leg + 0.5 * balance_scan);
   const double skew_slack = 1.5;   // hash-partition imbalance
   const double abort_slack = 2.0;  // retried attempts per committed op
   return static_cast<std::size_t>(total_ops * per_op / shards * skew_slack *

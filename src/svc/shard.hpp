@@ -3,14 +3,19 @@
 // committed transaction on that TM.
 //
 // Per-shard state, all transactional:
-//   balances  THashMapT   key -> balance, the primary record store
-//   locks     THashMapT   key -> coordinator token; an entry is the 2PC
-//                         "prepared" mark for that key (svc/coordinator.hpp)
-//   index     TListSetT   the shard's owned keys in sorted order, for
-//                         ordered range scans and membership churn
-//   meta      1 t-var     sum of every committed put delta — the term that
-//                         keeps the global conservation audit exact while
-//                         puts mutate balances concurrently with transfers
+//   balances  THashMapT      key -> balance, the primary record store
+//   locks     THashMapT      key -> coordinator token; an entry is the 2PC
+//                            "prepared" mark for that key
+//                            (svc/coordinator.hpp)
+//   index     TSkipListSetT  the shard's owned keys in sorted order, for
+//                            ordered range scans and membership churn. A
+//                            skip list: a scan leg reads O(log n + span)
+//                            nodes and a churn toggle O(log n), where a
+//                            sorted list read the whole prefix below the key
+//   meta      1 t-var        sum of every committed put delta — the term
+//                            that keeps the global conservation audit exact
+//                            while puts mutate balances concurrently with
+//                            transfers
 //
 // Locking discipline (deadlock freedom): prepare() is a try-lock — it
 // *votes* kBusy instead of waiting when a key is already locked, so a
@@ -33,7 +38,7 @@
 #include "core/memory_model.hpp"
 #include "core/tm.hpp"
 #include "ds/thashmap.hpp"
-#include "ds/tlist.hpp"
+#include "ds/tskiplist.hpp"
 #include "runtime/assert.hpp"
 #include "svc/config.hpp"
 
@@ -46,7 +51,8 @@ namespace oftm::svc {
 inline std::size_t shard_tvar_words(const ServiceConfig& cfg) {
   return ds::THashMapT<core::BoxedMemory>::tvars_needed(cfg.map_capacity()) +
          ds::THashMapT<core::BoxedMemory>::tvars_needed(cfg.lock_capacity()) +
-         ds::TListSetT<core::BoxedMemory>::tvars_needed(cfg.index_capacity()) +
+         ds::TSkipListSetT<core::BoxedMemory>::tvars_needed(
+             cfg.index_capacity()) +
          1;
 }
 
@@ -54,7 +60,7 @@ template <core::MemoryModel M>
 class ShardT {
  public:
   using Map = ds::THashMapT<M>;
-  using Set = ds::TListSetT<M>;
+  using Set = ds::TSkipListSetT<M>;
   // Runs first inside every transaction this shard executes. The
   // checked-stress harness injects recorded scratch-t-var writes here so
   // each committed transaction is visible to the opacity checker; empty in

@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -81,13 +82,15 @@ struct WorkloadConfig {
 // (run_seconds > 0) runs have no a-priori bound; the estimate then covers
 // tx_per_thread as a best effort.
 //
-// abort_slack is extra attempts per committed transaction. The default
-// (negative = derive from config) scales with the configured contention:
-// the old flat 0.5 underestimated hot-set and zipf runs, whose retry rates
-// routinely exceed one abort per commit — the checked-stress tiers now
-// assert Recorder::size() <= Recorder::reserved() to keep this honest.
+// The abort-retry slack (extra attempts per committed transaction) scales
+// with the configured contention — hot-set and zipf runs routinely exceed
+// one abort per commit — and with the contention manager of `recipe`, the
+// factory recipe the run uses (empty: none assumed). dstm:suicide aborts
+// the requester on every conflict, so its retry rate follows scheduling,
+// not the access pattern. The checked-stress tiers assert
+// Recorder::size() <= Recorder::reserved() to keep this honest.
 std::size_t estimated_history_events(const WorkloadConfig& config,
-                                     double abort_slack = -1.0);
+                                     std::string_view recipe = {});
 
 // t-variable range [base, base + size) owned by thread t under
 // AccessPattern::kPartitioned. The remainder when n is not a multiple of

@@ -22,6 +22,7 @@
 #include "core/memory_model.hpp"
 #include "core/tm.hpp"
 #include "ds/tlist.hpp"
+#include "ds/tskiplist.hpp"
 #include "lock/tl2.hpp"
 #include "norec/norec.hpp"
 #include "runtime/stats.hpp"
@@ -191,14 +192,15 @@ TEST(AllocFree, RegionAllocFreeChurnSteadyStateAllocatesNothing) {
 // The same property one layer up: a region-instantiated container whose
 // insert/erase churn routes every node through tx_alloc/tx_free. Steady
 // state recycles nodes via the size-class free lists and the epoch retire
-// ring without ever reaching the process heap.
-TEST(AllocFree, RegionContainerChurnSteadyStateAllocatesNothing) {
+// ring without ever reaching the process heap. Runs over both sorted sets
+// (the skip list allocates and frees whole towers per toggle).
+template <template <typename> class Set>
+void region_container_churn_allocates_nothing() {
   constexpr std::uint32_t kCap = 64;
   core::RegionOptions options;
   options.capacity_bytes = 1 << 20;
-  lock::Tl2Region tm(
-      ds::TListSetT<core::RegionMemory>::tvars_needed(kCap), options);
-  ds::TListSetT<core::RegionMemory> set(tm, 0, kCap);
+  lock::Tl2Region tm(Set<core::RegionMemory>::tvars_needed(kCap), options);
+  Set<core::RegionMemory> set(tm, 0, kCap);
   set.init();
 
   const auto churn = [&](int count) {
@@ -218,6 +220,14 @@ TEST(AllocFree, RegionContainerChurnSteadyStateAllocatesNothing) {
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0u)
       << "region container churn leaked onto the process heap";
   EXPECT_TRUE(set.audit_quiescent());
+}
+
+TEST(AllocFree, RegionContainerChurnSteadyStateAllocatesNothing) {
+  region_container_churn_allocates_nothing<ds::TListSetT>();
+}
+
+TEST(AllocFree, RegionSkipListChurnSteadyStateAllocatesNothing) {
+  region_container_churn_allocates_nothing<ds::TSkipListSetT>();
 }
 
 TEST(AllocFree, AtomicallyRetryLoopAllocatesNothingAfterWarmup) {

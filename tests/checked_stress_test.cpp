@@ -55,7 +55,7 @@ TEST_P(CheckedStressTest, HundredThousandTransactionsAreOpaque) {
   config.ops_per_tx = 4;
   config.write_fraction = 0.25;
   config.seed = 0x5EED2026;
-  const auto out = conformance::run_checked_stress(*tm, config);
+  const auto out = conformance::run_checked_stress(*tm, GetParam(), config);
   EXPECT_EQ(out.run.committed, 100'000u);
   EXPECT_EQ(out.well_formed_error, "");
   // Aborted attempts are digested too (include_aborted_readers), so the
@@ -80,7 +80,7 @@ TEST(CheckedStressHotKey, SingleHotKeyHundredThousandChecksWithinFiveSeconds) {
   config.hot_op_fraction = 1.0;  // every op redirected into the hot set...
   config.hot_set_size = 1;       // ...of exactly one t-variable
   config.seed = 7;
-  const auto out = conformance::run_checked_stress(*tm, config);
+  const auto out = conformance::run_checked_stress(*tm, "coarse", config);
   EXPECT_EQ(out.run.committed, 100'000u);
   EXPECT_EQ(out.well_formed_error, "");
   EXPECT_TRUE(out.check.ok)
@@ -105,7 +105,7 @@ TEST(CheckedStressTraced, TracingDoesNotPerturbOpacity) {
     config.ops_per_tx = 4;
     config.write_fraction = 0.25;
     config.seed = 0x5EED2026;
-    const auto out = conformance::run_checked_stress(*tm, config);
+    const auto out = conformance::run_checked_stress(*tm, recipe, config);
     EXPECT_EQ(out.run.committed, 50'000u) << recipe;
     EXPECT_EQ(out.well_formed_error, "") << recipe;
     EXPECT_TRUE(out.check.ok)

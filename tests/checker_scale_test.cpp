@@ -50,7 +50,7 @@ class CheckerScaleTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(CheckerScaleTest, MillionTransactionsParallelCheckWithinBudget) {
   auto tm = workload::make_tm(GetParam(), 2048);
   const auto out =
-      conformance::run_checked_stress(*tm, million_config(),
+      conformance::run_checked_stress(*tm, GetParam(), million_config(),
                                       /*check_threads=*/0);
   EXPECT_EQ(out.run.committed, kMillion);
   EXPECT_EQ(out.well_formed_error, "");

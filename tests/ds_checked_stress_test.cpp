@@ -26,6 +26,7 @@
 #include "core/memory_model.hpp"
 #include "ds/thashmap.hpp"
 #include "ds/tlist.hpp"
+#include "ds/tskiplist.hpp"
 #include "history/checker.hpp"
 #include "history/recorder.hpp"
 #include "runtime/xorshift.hpp"
@@ -93,17 +94,20 @@ void check_history(history::Recorder& recorder) {
   EXPECT_TRUE(check.ok) << check.error;
 }
 
-void run_list_churn(const std::string& backend) {
+// Sorted-set churn, over both TListSetT and TSkipListSetT (whose erases
+// also free whole towers of index nodes).
+template <template <typename> class Set>
+void run_sorted_set_churn(const std::string& backend) {
   constexpr std::uint32_t kCap = 512;
   const std::size_t words =
-      TListSetT<core::RegionMemory>::tvars_needed(kCap) + kThreads;
+      Set<core::RegionMemory>::tvars_needed(kCap) + kThreads;
   auto tm = workload::make_tm_for_containers(backend, words);
   ASSERT_TRUE(tm->has_word_access());
   history::Recorder recorder;
   recorder.reserve(kReservePerRun);
   history::RecordingTm recorded(*tm, recorder);
 
-  TListSetT<core::RegionMemory> set(recorded, 0, kCap);
+  Set<core::RegionMemory> set(recorded, 0, kCap);
   set.init();
   run_churn(recorded, [&set](core::TxView& tx, int /*t*/,
                              runtime::Xoshiro256& rng) {
@@ -147,11 +151,19 @@ void run_map_churn(const std::string& backend) {
 }
 
 TEST(DsCheckedStress, ListChurnOpacityOnTl2Region) {
-  run_list_churn("tl2-region");
+  run_sorted_set_churn<TListSetT>("tl2-region");
 }
 
 TEST(DsCheckedStress, ListChurnOpacityOnNorecRegion) {
-  run_list_churn("norec-region");
+  run_sorted_set_churn<TListSetT>("norec-region");
+}
+
+TEST(DsCheckedStress, SkipListChurnOpacityOnTl2Region) {
+  run_sorted_set_churn<TSkipListSetT>("tl2-region");
+}
+
+TEST(DsCheckedStress, SkipListChurnOpacityOnNorecRegion) {
+  run_sorted_set_churn<TSkipListSetT>("norec-region");
 }
 
 TEST(DsCheckedStress, MapChurnOpacityOnTl2Region) {

@@ -25,6 +25,7 @@
 #include "ds/thashmap.hpp"
 #include "ds/tlist.hpp"
 #include "ds/tqueue.hpp"
+#include "ds/tskiplist.hpp"
 #include "runtime/xorshift.hpp"
 #include "tm_conformance.hpp"
 
@@ -63,10 +64,11 @@ class DsConformanceTest : public ::testing::TestWithParam<std::string> {
 // committed transaction and must agree with a sequential reference
 // structure op for op — on any backend, layout and tier.
 
-template <typename Model>
-void run_list_oracle(core::TransactionalMemory& tm) {
+// Both sorted sets (TListSetT, TSkipListSetT) answer to the same oracle.
+template <template <typename> class Set, typename Model>
+void run_sorted_set_oracle(core::TransactionalMemory& tm) {
   constexpr std::uint32_t kCap = 64;
-  TListSetT<Model> set(tm, 0, kCap);
+  Set<Model> set(tm, 0, kCap);
   set.init();
   std::set<std::uint64_t> ref;
   runtime::Xoshiro256 rng(4242);
@@ -171,7 +173,14 @@ void run_queue_oracle(core::TransactionalMemory& tm) {
 TEST_P(DsConformanceTest, ListMatchesSequentialOracle) {
   auto tm = make(TListSet::tvars_needed(64));
   core::with_memory_model(*tm, [&](auto tag) {
-    run_list_oracle<typename decltype(tag)::type>(*tm);
+    run_sorted_set_oracle<TListSetT, typename decltype(tag)::type>(*tm);
+  });
+}
+
+TEST_P(DsConformanceTest, SkipListMatchesSequentialOracle) {
+  auto tm = make(TSkipListSet::tvars_needed(64));
+  core::with_memory_model(*tm, [&](auto tag) {
+    run_sorted_set_oracle<TSkipListSetT, typename decltype(tag)::type>(*tm);
   });
 }
 

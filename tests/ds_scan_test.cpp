@@ -17,6 +17,7 @@
 #include "core/memory_model.hpp"
 #include "ds/thashmap.hpp"
 #include "ds/tlist.hpp"
+#include "ds/tskiplist.hpp"
 #include "runtime/xorshift.hpp"
 #include "workload/factory.hpp"
 
@@ -99,12 +100,13 @@ void map_scan_oracle(const std::string& backend) {
   EXPECT_EQ(seen, oracle);
 }
 
-template <typename Model>
-void list_scan_oracle(const std::string& backend) {
+// Sorted-set scans run over both TListSetT and TSkipListSetT.
+template <template <typename> class Set, typename Model>
+void sorted_set_scan_oracle(const std::string& backend) {
   constexpr std::uint32_t kCap = 256;
   auto tm = workload::make_tm_for_containers(
-      backend, TListSetT<core::BoxedMemory>::tvars_needed(kCap));
-  TListSetT<Model> set(*tm, 0, kCap);
+      backend, Set<core::BoxedMemory>::tvars_needed(kCap));
+  Set<Model> set(*tm, 0, kCap);
   set.init();
 
   std::vector<std::uint64_t> keys = {3, 7, 11, 40, 41, 42, 90, 300, 301};
@@ -186,13 +188,13 @@ void map_scan_under_concurrent_erase(const std::string& backend) {
   writer.join();
 }
 
-template <typename Model>
-void list_scan_under_concurrent_erase(const std::string& backend) {
+template <template <typename> class Set, typename Model>
+void sorted_set_scan_under_concurrent_erase(const std::string& backend) {
   constexpr std::uint32_t kCap = 256;
   constexpr std::uint64_t kPairs = 32;
   auto tm = workload::make_tm_for_containers(
-      backend, TListSetT<core::BoxedMemory>::tvars_needed(kCap));
-  TListSetT<Model> set(*tm, 0, kCap);
+      backend, Set<core::BoxedMemory>::tvars_needed(kCap));
+  Set<Model> set(*tm, 0, kCap);
   set.init();
 
   std::atomic<bool> stop{false};
@@ -231,10 +233,16 @@ TEST(DsScan, MapOracleRegion) {
   map_scan_oracle<core::RegionMemory>(kRegionBackend);
 }
 TEST(DsScan, ListOracleBoxed) {
-  list_scan_oracle<core::BoxedMemory>(kBoxedBackend);
+  sorted_set_scan_oracle<TListSetT, core::BoxedMemory>(kBoxedBackend);
 }
 TEST(DsScan, ListOracleRegion) {
-  list_scan_oracle<core::RegionMemory>(kRegionBackend);
+  sorted_set_scan_oracle<TListSetT, core::RegionMemory>(kRegionBackend);
+}
+TEST(DsScan, SkipListOracleBoxed) {
+  sorted_set_scan_oracle<TSkipListSetT, core::BoxedMemory>(kBoxedBackend);
+}
+TEST(DsScan, SkipListOracleRegion) {
+  sorted_set_scan_oracle<TSkipListSetT, core::RegionMemory>(kRegionBackend);
 }
 TEST(DsScan, MapSnapshotUnderConcurrentEraseBoxed) {
   map_scan_under_concurrent_erase<core::BoxedMemory>(kBoxedBackend);
@@ -243,10 +251,20 @@ TEST(DsScan, MapSnapshotUnderConcurrentEraseRegion) {
   map_scan_under_concurrent_erase<core::RegionMemory>(kRegionBackend);
 }
 TEST(DsScan, ListSnapshotUnderConcurrentEraseBoxed) {
-  list_scan_under_concurrent_erase<core::BoxedMemory>(kBoxedBackend);
+  sorted_set_scan_under_concurrent_erase<TListSetT, core::BoxedMemory>(
+      kBoxedBackend);
 }
 TEST(DsScan, ListSnapshotUnderConcurrentEraseRegion) {
-  list_scan_under_concurrent_erase<core::RegionMemory>(kRegionBackend);
+  sorted_set_scan_under_concurrent_erase<TListSetT, core::RegionMemory>(
+      kRegionBackend);
+}
+TEST(DsScan, SkipListSnapshotUnderConcurrentEraseBoxed) {
+  sorted_set_scan_under_concurrent_erase<TSkipListSetT, core::BoxedMemory>(
+      kBoxedBackend);
+}
+TEST(DsScan, SkipListSnapshotUnderConcurrentEraseRegion) {
+  sorted_set_scan_under_concurrent_erase<TSkipListSetT, core::RegionMemory>(
+      kRegionBackend);
 }
 
 }  // namespace

@@ -203,8 +203,10 @@ class TmConformanceTest : public ::testing::TestWithParam<std::string> {
 // Large-history (checked-stress) mode: record a full workload run, check
 // well-formedness and opacity, and hand back the verdict plus the checking
 // wall time. The recorder is pre-reserved from the workload configuration
-// so recording overhead stays flat at 100k+-transaction scale — regrowth
-// of the event log would serialize every worker behind the recorder lock.
+// and `recipe`, the conformance parameter `tm` was built from (its
+// contention manager shapes the retry rate), so recording overhead stays
+// flat at 100k+-transaction scale — regrowth of the event log would
+// serialize every worker behind the recorder lock.
 // Used by tests/checked_stress_test.cpp over every backend recipe on both
 // execution tiers; the DAP side of the tier (full conflict-graph witnesses
 // on simulated backends) lives in the same test file.
@@ -219,11 +221,11 @@ struct CheckedStressOutcome {
 };
 
 inline CheckedStressOutcome run_checked_stress(
-    core::TransactionalMemory& tm, const workload::WorkloadConfig& config,
-    int check_threads = 0) {
+    core::TransactionalMemory& tm, std::string_view recipe,
+    const workload::WorkloadConfig& config, int check_threads = 0) {
   CheckedStressOutcome out;
   history::Recorder recorder;
-  recorder.reserve(workload::estimated_history_events(config));
+  recorder.reserve(workload::estimated_history_events(config, recipe));
   history::RecordingTm recorded(tm, recorder);
   out.run = workload::run_workload(recorded, config);
   // One snapshot of the (multi-million-event) log, shared by the
